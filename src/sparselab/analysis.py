@@ -22,9 +22,7 @@ import numpy as np
 
 from . import nn
 from .exceptions import ConfigError, DegenerateStepError, InsufficientDataError
-from .harness import (StudyPoint, Workload, prune_at_init, resolve_dataset,
-                      run_trial, _shaped)
-from .models import build_model
+from .harness import StudyPoint, Workload, resolve_dataset, run_trial
 
 FIT_FORMS = ("fixed-lr", "decaying-lr")
 
@@ -47,11 +45,6 @@ class TheoryParams:
     L: float
     beta: float
     delta: float
-    mu: float = 1.0
-    epsilon: float | None = None
-    M: float | None = None        # beta / B at the batch size of interest
-    M_G: float | None = None      # second-moment slope; only M_G >= mu^2 is used
-    H: float | None = None        # sum of squared rates, decaying schedules
 
 
 @dataclass
@@ -161,9 +154,11 @@ class _SnapshotHook:
         self.stride = stride
         self.limit = limit
         self._held = None
+        self.model = None         # the trial's model, probed afterwards
         self.pairs = []           # (k, w_k, w_{k+1})
 
     def __call__(self, model, k: int):
+        self.model = model
         if k > 0 and (k - 1) % self.stride == 0 and (k - 1) < self.limit:
             self.pairs.append((k - 1, self._held, model.params.copy()))
         if k % self.stride == 0 and k < self.limit:
@@ -187,20 +182,15 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
     run_trial(fixed, point, metaparams, seed, data_root=data_root, step_hook=hook)
 
     train, _ = resolve_dataset(workload, data_root)
-    train_x = _shaped(train.inputs, workload.model_spec)
-
-    # Rebuild the trial's pruning deterministically so the probe model
-    # evaluates the same masked objective the trajectory was trained on.
-    probe = prune_at_init(build_model(workload.model_spec), train,
-                          point.sparsity, workload.data_seed)
+    probe = hook.model            # carries the mask the trial trained under
 
     def grad_at(w):
         probe.set_params(w)
-        return nn.full_gradient(probe, train_x, train.labels).flat
+        return nn.full_gradient(probe, train.inputs, train.labels).flat
 
     def loss_at(w):
         probe.set_params(w)
-        logits, _ = nn.forward(probe, train_x)
+        logits, _ = nn.forward(probe, train.inputs)
         loss, _ = nn.loss_and_error(logits, train.labels)
         return loss
 

@@ -19,9 +19,8 @@ from pathlib import Path
 
 from . import analysis, report
 from .config import echo_config, load_config
-from .exceptions import ConfigError, InsufficientDataError
-from .harness import (StudyPoint, _shaped, prune_at_init, read_summary,
-                      resolve_dataset, run_study, write_summary)
+from .exceptions import ConfigError, InsufficientDataError, ResultsFormatError
+from .harness import StudyPoint, prune_at_init, resolve_dataset, run_study
 from .models import build_model
 
 EXIT_OK = 0
@@ -80,7 +79,7 @@ def cmd_run(args) -> int:
 
     table = run_study(cfg, out / "records.jsonl", workers=args.workers,
                       progress=progress if args.verbose else None)
-    write_summary(table, out / report.SUMMARY_FILE)
+    report.write_summary(table, out / report.SUMMARY_FILE)
 
     incomplete_points = [(c.batch_size, c.sparsity) for c in table.cells
                          if c.k_star is None]
@@ -103,7 +102,7 @@ def cmd_fit(args) -> int:
         print(f"no summary at {summary_path}; run `sparselab run` first",
               file=sys.stderr)
         return EXIT_IO
-    rows = read_summary(summary_path)
+    rows = report.read_table(summary_path, "summary")
     form = FORM_NAMES[args.form]
 
     fits = {}
@@ -130,8 +129,8 @@ def _trace_eta(args, rows, sparsity):
     if args.eta is not None:
         return args.eta
     for r in rows:
-        if r["s"] == sparsity and r["B"] == args.batch_size and r.get("eta_star"):
-            return float(r["eta_star"])
+        if r["s"] == sparsity and r["B"] == args.batch_size and r["eta_star"] is not None:
+            return r["eta_star"]
     raise ConfigError(
         f"no --eta given and no best learning rate in the summary for "
         f"B={args.batch_size}, s={sparsity}")
@@ -142,7 +141,7 @@ def cmd_lipschitz(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / report.SUMMARY_FILE
-    rows = read_summary(summary_path) if summary_path.exists() else []
+    rows = report.read_table(summary_path, "summary") if summary_path.exists() else []
 
     traces, theory_rows = {}, []
     for s in cfg.sparsities:
@@ -159,8 +158,7 @@ def cmd_lipschitz(args) -> int:
         train, _ = resolve_dataset(cfg.workload, cfg.data_root)
         probe = prune_at_init(build_model(cfg.workload.model_spec), train, s,
                               cfg.workload.data_seed)
-        beta = analysis.estimate_beta(
-            probe, _shaped(train.inputs, cfg.workload.model_spec), train.labels)
+        beta = analysis.estimate_beta(probe, train.inputs, train.labels)
         delta = analysis.estimate_delta(trace.losses)
         theory_rows.append({"s": s, "L_avg": trace.average, "beta": beta,
                             "delta": delta, "eta_bar": eta,
@@ -170,7 +168,8 @@ def cmd_lipschitz(args) -> int:
               f"delta={delta:.6g}")
 
     report.write_traces(out / report.TRACES_FILE, traces)
-    report.write_theory(out / report.THEORY_FILE, theory_rows)
+    report.write_table(out / report.THEORY_FILE, "theory",
+                       sorted(theory_rows, key=lambda r: r["s"]))
     print(f"wrote {out / report.TRACES_FILE} and {out / report.THEORY_FILE}")
     return EXIT_OK
 
@@ -182,7 +181,7 @@ def cmd_ratios(args) -> int:
         print(f"no theory constants at {theory_path}; run `sparselab lipschitz` "
               f"first", file=sys.stderr)
         return EXIT_IO
-    rows = report.read_theory(theory_path)
+    rows = sorted(report.read_table(theory_path, "theory"), key=lambda r: r["s"])
     dense = next((r for r in rows if r["s"] == 0.0), None)
     if dense is None:
         print("theory table has no dense (s=0) baseline", file=sys.stderr)
@@ -209,7 +208,7 @@ def cmd_ratios(args) -> int:
               f"{ratios['c1_ratio']:.3g}"
               + (f" (fitted {fitted:.3g})" if fitted else ""))
 
-    report.write_ratios(out / report.RATIOS_FILE, ratio_rows)
+    report.write_table(out / report.RATIOS_FILE, "ratios", ratio_rows)
     print(f"wrote {out / report.RATIOS_FILE}")
     return EXIT_OK
 
@@ -285,7 +284,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_IO
-    except OSError as e:
+    except (OSError, ResultsFormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 

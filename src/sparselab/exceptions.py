@@ -27,3 +27,7 @@ class InsufficientDataError(ValueError):
 
 class DegenerateStepError(ArithmeticError):
     """Zero parameter displacement; the smoothness quotient is undefined."""
+
+
+class ResultsFormatError(ValueError):
+    """Malformed results table; message carries the file and line."""

@@ -35,7 +35,6 @@ from .quasirand import draw_assignments
 # v2: pruned nets start with each unit's kept weights rescaled to the
 # unit's dense-init norm, so v1 sparse records measured another net.
 RECORD_SCHEMA = 2
-SUMMARY_SCHEMA = 1
 DIVERGENCE_FACTOR = 1e4
 SALIENCY_BATCH = 128
 
@@ -126,11 +125,6 @@ class StudyTable:
                 return c
         raise KeyError((batch_size, sparsity))
 
-    def points(self, sparsity: float) -> list:
-        """(B, K*) pairs with a measured K*, for one sparsity level."""
-        return [(c.batch_size, c.k_star) for c in self.cells
-                if c.sparsity == sparsity and c.k_star is not None]
-
 
 @dataclass
 class StudyConfig:
@@ -153,12 +147,14 @@ _DATASET_CACHE: dict = {}
 def resolve_dataset(workload: Workload, data_root: str | None = None):
     """Build (train, validation) splits; cached per process.
 
+    Both splits hold inputs already in the model's input shape.
     `train_label_noise` corrupts that fraction of *training* labels
     (uniformly to another class, seeded) after the split, so validation
     error stays a clean measure while gradients carry extra variance.
     """
     key = (json.dumps(workload.dataset, sort_keys=True), workload.data_seed,
-           workload.val_fraction, data_root or "")
+           workload.val_fraction, data_root or "",
+           workload.model_spec.input_shape)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     cfg = dict(workload.dataset)
@@ -180,6 +176,7 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
         full = load_idx(*paths)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
+    full.inputs = _shaped(full.inputs, workload.model_spec)
     train, val = split_validation(full, workload.val_fraction, workload.data_seed)
     if train_noise > 0.0:
         if not train_noise < 1.0:
@@ -284,7 +281,6 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
     order_rng = np.random.default_rng([seed, 0x02DE])
 
     key = trial_key(workload.id, point, trial_index, seed)
-    val_x = _shaped(val.inputs, workload.model_spec)
     history = []
     status = INCOMPLETE
     steps_to_goal = None
@@ -295,9 +291,8 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
     for k in range(1, workload.max_steps + 1):
         idx = next(batches)
         try:
-            loss, _, grad = nn.batch_gradient(
-                model, _shaped(train.inputs[idx], workload.model_spec),
-                train.labels[idx])
+            loss, _, grad = nn.batch_gradient(model, train.inputs[idx],
+                                              train.labels[idx])
             if initial_loss is None:
                 initial_loss = loss
             if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
@@ -310,7 +305,7 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
         if step_hook is not None:
             step_hook(model, k)
         if k % workload.eval_interval == 0:
-            logits, _ = nn.forward(model, val_x)
+            logits, _ = nn.forward(model, val.inputs)
             _, err = nn.loss_and_error(logits, val.labels)
             history.append((k, err))
             if err <= workload.goal_error:
@@ -461,40 +456,3 @@ def run_study(cfg: StudyConfig, records_path, workers: int = 1,
     planned_keys = {key for *_, key in plan}
     records = [existing[k] for k in sorted(planned_keys) if k in existing]
     return aggregate(records, cfg)
-
-
-def write_summary(table: StudyTable, path):
-    """Comma-separated study summary, one row per (B, s)."""
-    with open(path, "w") as f:
-        f.write(f"# sparselab-summary v{SUMMARY_SCHEMA} workload={table.workload_id} "
-                f"goal={table.goal_error} budget={table.budget}\n")
-        f.write("B,s,K_star,eta_star,momentum_star,"
-                "n_complete,n_incomplete,n_infeasible\n")
-        for c in table.cells:
-            k = "" if c.k_star is None else c.k_star
-            eta = mom = ""
-            if c.best_metaparams:
-                if "eta_bar" in c.best_metaparams:
-                    eta = f"{c.best_metaparams['eta_bar']:.8g}"
-                if "momentum_coeff" in c.best_metaparams:
-                    mom = f"{c.best_metaparams['momentum_coeff']:.8g}"
-            f.write(f"{c.batch_size},{c.sparsity},{k},{eta},{mom},"
-                    f"{c.n_complete},{c.n_incomplete},{c.n_infeasible}\n")
-
-
-def read_summary(path) -> list:
-    """Rows of the summary file as dicts (K_star parsed to int or None)."""
-    rows = []
-    with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    header = lines[0].strip().split(",")
-    for line in lines[1:]:
-        parts = line.strip().split(",")
-        if len(parts) != len(header):
-            continue
-        row = dict(zip(header, parts))
-        row["B"] = int(row["B"])
-        row["s"] = float(row["s"])
-        row["K_star"] = int(row["K_star"]) if row["K_star"] else None
-        rows.append(row)
-    return rows

@@ -72,12 +72,6 @@ def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
     return eta_bar * max(spec.floor_fraction, frac)
 
 
-def squared_rate_sum(spec: ScheduleSpec, eta_bar: float, num_steps: int) -> float:
-    """Sum of squared per-step rates over a finite run (the decaying-LR fits
-    need this computed exactly from the schedule)."""
-    return sum(schedule_eta(spec, eta_bar, k) ** 2 for k in range(1, num_steps + 1))
-
-
 def apply_update(params: np.ndarray, grad: np.ndarray, mask: np.ndarray,
                  config: OptimizerConfig, state: OptimizerState) -> float:
     """One in-place update on a flat parameter vector; returns eta_k used."""

@@ -77,10 +77,6 @@ class SobolState:
         return np.array([s / _SCALE for s in self._state])
 
 
-def sobol_next(state: SobolState) -> np.ndarray:
-    return state.next_point()
-
-
 def sobol_points(dimension: int, count: int) -> np.ndarray:
     """First `count` points of a fresh sequence, shape (count, dimension)."""
     state = SobolState(dimension)

@@ -1,17 +1,25 @@
-"""Plot-ready CSV emission and the human-readable run report.
+"""Results files and the human-readable run report.
 
-Every emitted file starts with a `# sparselab-<kind> v<schema>` line.
-The report is a pure function of whatever output files exist in the
+Each results file is a table of one kind: a `# sparselab-<kind> v<schema>`
+line (which the summary follows with its workload, goal and budget), a
+header row, then comma-separated rows. `TABLES` gives each kind's schema
+version and columns as (name, type, format spec), and `write_table` and
+`read_table` are the only code that knows the format. An empty cell
+stands for None. `read_table` raises ResultsFormatError, naming the file
+and line, on anything that does not match the spec.
+
+The report is a pure function of whatever results files exist in the
 results directory; absent inputs are listed by name instead of failing.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from pathlib import Path
 
 from .analysis import ScalingFit, predict_steps
-from .harness import read_summary
+from .exceptions import ResultsFormatError
 
 SCHEMA = 1
 
@@ -22,88 +30,99 @@ THEORY_FILE = "theory.csv"
 RATIOS_FILE = "ratios.csv"
 REPORT_FILE = "report.md"
 
+# kind -> (schema version, columns as (name, type, format spec))
+TABLES = {
+    "summary": (1, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
+                    ("eta_star", float, ".8g"), ("momentum_star", float, ".8g"),
+                    ("n_complete", int, ""), ("n_incomplete", int, ""),
+                    ("n_infeasible", int, ""))),
+    "fits": (1, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
+                 ("K_hat", float, ".4f"), ("form", str, ""), ("c1", float, ".6g"),
+                 ("c2", float, ".6g"), ("residual", float, ".6g"))),
+    "traces": (1, (("s", float, ""), ("step", int, ""), ("lipschitz_hat", float, ".8g"))),
+    "theory": (1, (("s", float, ""), ("L_avg", float, ".8g"), ("beta", float, ".8g"),
+                   ("delta", float, ".8g"), ("eta_bar", float, ".8g"),
+                   ("batch_size", int, ""), ("steps", int, ""), ("stride", int, ""))),
+    "ratios": (1, (("s", float, ""), ("delta_ratio", float, ".6g"),
+                   ("beta_ratio", float, ".6g"), ("L_ratio", float, ".6g"),
+                   ("c1_ratio", float, ".6g"), ("c1_ratio_fitted", float, ".6g"))),
+}
+
+
+def write_table(path, kind: str, rows, tag: str = ""):
+    """Write dict rows as a `kind` table; `tag` extends the first line."""
+    version, columns = TABLES[kind]
+    with open(path, "w", newline="") as f:
+        f.write(f"# sparselab-{kind} v{version}{tag}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(name for name, _, _ in columns)
+        for row in rows:
+            writer.writerow("" if row[name] is None else format(row[name], spec)
+                            for name, _, spec in columns)
+
+
+def read_table(path, kind: str) -> list:
+    """Rows of a `kind` table as dicts of typed values (None for empty)."""
+    version, columns = TABLES[kind]
+    names = [name for name, _, _ in columns]
+    with open(path, newline="") as f:
+        if f.readline().split()[:3] != ["#", f"sparselab-{kind}", f"v{version}"]:
+            raise ResultsFormatError(
+                f"{path}:1: expected '# sparselab-{kind} v{version}'")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != names:
+            raise ResultsFormatError(
+                f"{path}:2: expected header {','.join(names)}, found {header}")
+        rows = []
+        for fields in reader:
+            where = f"{path}:{reader.line_num + 1}"
+            if len(fields) != len(columns):
+                raise ResultsFormatError(
+                    f"{where}: expected {len(columns)} fields, found {len(fields)}")
+            try:
+                rows.append({name: typ(text) if text else None
+                             for (name, typ, _), text in zip(columns, fields)})
+            except ValueError as e:
+                raise ResultsFormatError(f"{where}: {e}") from e
+    return rows
+
+
+def write_summary(table, path):
+    """One row per (B, s) cell of a harness StudyTable."""
+    write_table(path, "summary", (
+        {"B": c.batch_size, "s": c.sparsity, "K_star": c.k_star,
+         "eta_star": (c.best_metaparams or {}).get("eta_bar"),
+         "momentum_star": (c.best_metaparams or {}).get("momentum_coeff"),
+         "n_complete": c.n_complete, "n_incomplete": c.n_incomplete,
+         "n_infeasible": c.n_infeasible} for c in table.cells),
+        f" workload={table.workload_id} goal={table.goal_error} budget={table.budget}")
+
 
 def write_fits(path, fits: dict):
     """fits: {sparsity: ScalingFit}; one row per measured (B, s) with the
     fitted prediction alongside, plus the fit constants and residual."""
-    with open(path, "w") as f:
-        f.write(f"# sparselab-fits v{SCHEMA}\n")
-        f.write("B,s,K_star,K_hat,form,c1,c2,residual\n")
-        for s, fit in sorted(fits.items()):
-            for b, k in fit.points:
-                f.write(f"{int(b)},{s},{int(k)},{predict_steps(fit, b):.4f},"
-                        f"{fit.form},{fit.c1:.6g},{fit.c2:.6g},{fit.residual:.6g}\n")
+    write_table(path, "fits", (
+        {"B": int(b), "s": s, "K_star": int(k), "K_hat": predict_steps(fit, b),
+         "form": fit.form, "c1": fit.c1, "c2": fit.c2, "residual": fit.residual}
+        for s, fit in sorted(fits.items()) for b, k in fit.points))
 
 
 def read_fits(path) -> dict:
     fits: dict = {}
     points: dict = {}
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if not ln.startswith("#")]
-    for line in lines[1:]:
-        b, s, k_star, _, form, c1, c2, residual = line.split(",")
-        s = float(s)
-        points.setdefault(s, []).append((float(b), float(k_star)))
-        fits[s] = (form, float(c1), float(c2), float(residual))
+    for r in read_table(path, "fits"):
+        points.setdefault(r["s"], []).append((float(r["B"]), float(r["K_star"])))
+        fits[r["s"]] = (r["form"], r["c1"], r["c2"], r["residual"])
     return {s: ScalingFit(form, c1, c2, residual, tuple(points[s]))
             for s, (form, c1, c2, residual) in fits.items()}
 
 
 def write_traces(path, traces: dict):
     """traces: {sparsity: SmoothnessTrace}."""
-    with open(path, "w") as f:
-        f.write(f"# sparselab-traces v{SCHEMA}\n")
-        f.write("s,step,lipschitz_hat\n")
-        for s, trace in sorted(traces.items()):
-            for step, value in trace.entries:
-                text = "" if value is None else f"{value:.8g}"
-                f.write(f"{s},{step},{text}\n")
-
-
-def write_theory(path, rows: list):
-    """rows: dicts with s, L_avg, beta, delta plus provenance fields."""
-    with open(path, "w") as f:
-        f.write(f"# sparselab-theory v{SCHEMA}\n")
-        f.write("s,L_avg,beta,delta,eta_bar,batch_size,steps,stride\n")
-        for r in sorted(rows, key=lambda r: r["s"]):
-            f.write(f"{r['s']},{r['L_avg']:.8g},{r['beta']:.8g},{r['delta']:.8g},"
-                    f"{r['eta_bar']:.8g},{r['batch_size']},{r['steps']},{r['stride']}\n")
-
-
-def read_theory(path) -> list:
-    rows = []
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if not ln.startswith("#")]
-    for line in lines[1:]:
-        s, l_avg, beta, delta, eta, b, steps, stride = line.split(",")
-        rows.append({"s": float(s), "L_avg": float(l_avg), "beta": float(beta),
-                     "delta": float(delta), "eta_bar": float(eta),
-                     "batch_size": int(b), "steps": int(steps), "stride": int(stride)})
-    return rows
-
-
-def write_ratios(path, rows: list):
-    """rows: dicts from analysis.ratio_report plus the sparsity compared."""
-    with open(path, "w") as f:
-        f.write(f"# sparselab-ratios v{SCHEMA}\n")
-        f.write("s,delta_ratio,beta_ratio,L_ratio,c1_ratio,c1_ratio_fitted\n")
-        for r in sorted(rows, key=lambda r: r["s"]):
-            fitted = r.get("c1_ratio_fitted")
-            fitted_text = "" if fitted is None else f"{fitted:.6g}"
-            f.write(f"{r['s']},{r['delta_ratio']:.6g},{r['beta_ratio']:.6g},"
-                    f"{r['L_ratio']:.6g},{r['c1_ratio']:.6g},{fitted_text}\n")
-
-
-def read_ratios(path) -> list:
-    rows = []
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if not ln.startswith("#")]
-    for line in lines[1:]:
-        s, dr, br, lr, cr, fitted = line.split(",")
-        rows.append({"s": float(s), "delta_ratio": float(dr), "beta_ratio": float(br),
-                     "L_ratio": float(lr), "c1_ratio": float(cr),
-                     "c1_ratio_fitted": float(fitted) if fitted else None})
-    return rows
+    write_table(path, "traces", (
+        {"s": s, "step": step, "lipschitz_hat": value}
+        for s, trace in sorted(traces.items()) for step, value in trace.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +191,16 @@ def render_report(results_dir) -> str:
     results_dir = Path(results_dir)
     lines = [f"# sparselab report (schema v{SCHEMA})", "",
              f"results directory: `{os.fspath(results_dir)}`", ""]
-    missing, sections = [], 0
+    sources = ((SUMMARY_FILE, lambda p: read_table(p, "summary"), _scaling_section),
+               (FITS_FILE, read_fits, _fit_section),
+               (THEORY_FILE, lambda p: read_table(p, "theory"), _smoothness_section),
+               (RATIOS_FILE, lambda p: read_table(p, "ratios"), _ratio_section))
+    missing = [name for name, _, _ in sources if not (results_dir / name).exists()]
+    for name, read, section in sources:
+        if name not in missing:
+            lines += section(read(results_dir / name))
 
-    summary_path = results_dir / SUMMARY_FILE
-    if summary_path.exists():
-        lines += _scaling_section(read_summary(summary_path))
-        sections += 1
-    else:
-        missing.append(SUMMARY_FILE)
-
-    fits_path = results_dir / FITS_FILE
-    if fits_path.exists():
-        lines += _fit_section(read_fits(fits_path))
-        sections += 1
-    else:
-        missing.append(FITS_FILE)
-
-    theory_path = results_dir / THEORY_FILE
-    if theory_path.exists():
-        lines += _smoothness_section(read_theory(theory_path))
-        sections += 1
-    else:
-        missing.append(THEORY_FILE)
-
-    ratios_path = results_dir / RATIOS_FILE
-    if ratios_path.exists():
-        lines += _ratio_section(read_ratios(ratios_path))
-        sections += 1
-    else:
-        missing.append(RATIOS_FILE)
-
-    lines.append(f"Sections rendered: {sections}")
+    lines.append(f"Sections rendered: {len(sources) - len(missing)}")
     if missing:
         lines.append("")
         lines.append("Missing inputs: " + ", ".join(missing))

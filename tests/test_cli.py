@@ -118,6 +118,17 @@ def test_fit_skips_sparsity_with_single_batch_size(tmp_path, capsys):
     assert "skip: sparsity 0.9" in capsys.readouterr().out
 
 
+def test_fit_on_summary_with_short_row_is_io_error(tmp_path, capsys):
+    path = tmp_path / "summary.csv"
+    write_exact_summary(path)
+    lines = path.read_text().splitlines()
+    lines[3] = "4,0.0,300"                # truncated row at line 4
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("fit", "--out", str(tmp_path)) == EXIT_IO
+    assert "summary.csv:4:" in capsys.readouterr().err
+    assert not (tmp_path / "fits.csv").exists()
+
+
 def test_fit_without_summary_is_io_error(tmp_path):
     assert run_cli("fit", "--out", str(tmp_path / "empty")) == EXIT_IO
 

@@ -14,10 +14,11 @@ from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
                                TrialRecord, aggregate, best_trial, load_records,
                                planned_trials, prune_at_init, resolve_dataset,
                                run_study, run_trial, steps_to_result, trial_key,
-                               write_summary, read_summary, _shaped)
+                               _shaped)
 from sparselab.models import ModelSpec, build_model
 from sparselab.prune import connection_sensitivity, topk_mask
 from sparselab.quasirand import SearchSpace
+from sparselab.report import read_table, write_summary
 
 ETA = {"eta_bar": 0.1}
 
@@ -192,6 +193,20 @@ def test_step_hook_sees_the_pruned_init_at_step_zero(sparsity):
     assert seen["params"].tobytes() == probe.params.tobytes()
 
 
+def test_resolve_dataset_gives_inputs_in_the_model_input_shape():
+    dataset = dict(smoke_workload().dataset, dims=8)
+    flat = replace(smoke_workload(), dataset=dataset,
+                   model_spec=ModelSpec("simple-mlp", (8,), (4,), 4))
+    image = replace(flat, model_spec=ModelSpec("cnn-lite", (2, 2, 2), (2, 3), 4))
+    flat_train, flat_val = resolve_dataset(flat)
+    image_train, image_val = resolve_dataset(image)
+    assert flat_train.inputs.shape == (len(flat_train), 8)
+    assert image_train.inputs.shape == (len(image_train), 2, 2, 2)
+    assert image_val.inputs.shape == (len(image_val), 2, 2, 2)
+    assert np.array_equal(image_train.inputs.reshape(-1, 8), flat_train.inputs)
+    assert np.array_equal(image_val.inputs.reshape(-1, 8), flat_val.inputs)
+
+
 def test_steps_to_result_takes_minimum():
     def rec(status, steps, key):
         return TrialRecord(key, 8, 0.0, 0, ETA, 0, status, steps, [], 1.0)
@@ -302,7 +317,7 @@ def test_summary_roundtrip(tmp_path):
     table = run_study(cfg, tmp_path / "records.jsonl")
     path = tmp_path / "summary.csv"
     write_summary(table, path)
-    rows = read_summary(path)
+    rows = read_table(path, "summary")
     assert len(rows) == len(table.cells)
     for row, cell in zip(rows, table.cells):
         assert row["B"] == cell.batch_size

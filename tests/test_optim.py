@@ -10,7 +10,7 @@ from sparselab.analysis import convergence_bound
 from sparselab.exceptions import ConfigError, NumericOverflow
 from sparselab.models import ModelSpec, build_model
 from sparselab.optim import (OptimizerConfig, OptimizerState, ScheduleSpec,
-                             apply_update, schedule_eta, squared_rate_sum, step)
+                             apply_update, schedule_eta, step)
 
 
 def test_constant_schedule_returns_eta_bar():
@@ -38,12 +38,6 @@ def test_linear_decay_is_non_increasing(horizon, floor, eta_bar):
     rates = [schedule_eta(spec, eta_bar, k) for k in range(1, 2 * horizon + 2)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert all(r >= 0 for r in rates)
-
-
-def test_squared_rate_sum_is_exact():
-    spec = ScheduleSpec("linear-decay", decay_horizon=4)
-    # rates at k=1..3: 0.75, 0.5, 0.25 -> sum of squares 0.875
-    assert squared_rate_sum(spec, 1.0, 3) == pytest.approx(0.875)
 
 
 def test_single_sgd_step_arithmetic():

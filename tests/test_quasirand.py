@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sparselab.exceptions import ConfigError
 from sparselab.quasirand import (MAX_DIMENSION, SearchSpace, SobolState,
-                                 map_to_space, sobol_next, sobol_points)
+                                 map_to_space, sobol_points)
 
 # Independent oracle: direct (non-incremental) construction x_n = XOR of
 # direction numbers over the set bits of gray(n), with the direction-number
@@ -55,7 +55,7 @@ def oracle_point(n, dims, bits=32):
 
 def test_dim1_first_three_points():
     state = SobolState(1)
-    values = [float(sobol_next(state)[0]) for _ in range(3)]
+    values = [float(state.next_point()[0]) for _ in range(3)]
     assert values == [0.5, 0.75, 0.25]
 
 
@@ -97,7 +97,7 @@ def test_sequence_is_deterministic():
     assert np.array_equal(a, b)
     state = SobolState(3)
     for row in a:
-        assert np.array_equal(sobol_next(state), row)
+        assert np.array_equal(state.next_point(), row)
     assert state.index == 101
 
 
