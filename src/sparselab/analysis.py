@@ -72,7 +72,9 @@ def fit_scaling(points, form: str = "fixed-lr") -> ScalingFit:
 
     Negative coefficients are clamped to zero and the other refit, which
     only triggers when the data contradicts the model; the reported
-    residual then exposes the mismatch.
+    residual then exposes the mismatch. A coefficient whose largest term
+    (c1 / min B, or c2) is below 1e-12 * max K is rounding noise of the
+    solve and is zeroed the same way.
     """
     if form not in FIT_FORMS:
         raise ConfigError(f"unknown fit form {form!r}")
@@ -88,9 +90,10 @@ def fit_scaling(points, form: str = "fixed-lr") -> ScalingFit:
     design = np.column_stack([x, np.ones_like(x)])
     (c1, c2), *_ = np.linalg.lstsq(design, k, rcond=None)
 
-    if c1 < 0:
+    noise = 1e-12 * k.max()
+    if c1 * x.max() < noise:
         c1, c2 = 0.0, float(k.mean())
-    elif c2 < 0:
+    elif c2 < noise:
         c2, c1 = 0.0, float((k * x).sum() / (x * x).sum())
 
     pred = c1 * x + c2

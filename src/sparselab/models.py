@@ -8,7 +8,9 @@ Two families:
 
 All parameters live in one flat float64 vector; each layer's weights are
 reshaped views into it. A binary mask of the same length marks pruned
-coordinates (1 = kept). ``cnn-lite`` is deliberately the smallest net
+coordinates (1 = kept; all ones = unpruned). ``prune.apply_mask`` zeroes
+the pruned parameters, and training keeps them zero because their
+gradient is zero. ``cnn-lite`` is deliberately the smallest net
 exercising conv backprop, not a faithful residual architecture.
 """
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .exceptions import ConfigError
-from .nn import Affine, Conv3x3, Flatten, GlobalMeanPool, Gradient, MeanPool2x2, Relu
+from .nn import Affine, Conv3x3, Flatten, GlobalMeanPool, MeanPool2x2, Relu
 
 ARCHITECTURES = ("simple-mlp", "cnn-lite")
 INIT_SCHEMES = ("he-uniform",)
@@ -73,7 +75,6 @@ class Model:
         self.params = np.zeros(offset)
         self.mask = np.ones(offset)
         self.params_version = 0
-        self.pruned = False
 
     @property
     def param_count(self) -> int:
@@ -93,10 +94,6 @@ class Model:
     def masked_param_views(self) -> list:
         """Per-layer views of params with pruned coordinates forced to zero."""
         return self._views_of(self.params * self.mask)
-
-    def new_gradient(self) -> Gradient:
-        flat = np.zeros(self.param_count)
-        return Gradient(flat, self._views_of(flat))
 
     def set_params(self, values: np.ndarray):
         if values.shape != self.params.shape:

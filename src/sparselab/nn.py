@@ -10,13 +10,15 @@ unbiased estimate of the full-data gradient under i.i.d. sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError, NumericOverflow, StaleCacheError
 
+# Samples per batch in full_gradient; bounds the im2col buffers.
+FULL_GRADIENT_CHUNK = 1024
 
 # ---------------------------------------------------------------------------
 # Layers
@@ -162,21 +164,17 @@ class Flatten:
 
 @dataclass
 class Gradient:
-    """Flat length-m gradient plus per-layer views aliasing the same buffer."""
+    """Flat length-m gradient, in the model's parameter order."""
 
     flat: np.ndarray
-    views: list = field(default_factory=list)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat))
 
 
 @dataclass
 class BatchCache:
-    """Per-layer activations from one forward pass; consumed once by backward."""
+    """Activations and masked parameter views of one forward; read once by backward."""
 
     layer_caches: list
+    param_views: list
     params_version: int
     batch_size: int
     consumed: bool = False
@@ -189,8 +187,9 @@ class BatchCache:
 def forward(model, inputs: np.ndarray):
     """Run the model on a batch; returns (logits, cache).
 
-    Masked parameters are forced to zero before use, so forward output is
-    invariant to whatever values the raw vector stores at pruned positions.
+    Takes the model's masked parameter views once, so the output is
+    invariant to whatever values the raw vector stores at pruned positions,
+    and keeps them in the cache for backward.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.shape[0] < 1:
@@ -202,7 +201,7 @@ def forward(model, inputs: np.ndarray):
         layer_caches.append(cache)
     if not np.all(np.isfinite(x)):
         raise NumericOverflow("non-finite activation in forward pass")
-    return x, BatchCache(layer_caches, model.params_version, x.shape[0])
+    return x, BatchCache(layer_caches, param_views, model.params_version, len(x))
 
 
 def loss_and_error(logits: np.ndarray, targets: np.ndarray):
@@ -233,8 +232,9 @@ def _softmax(logits):
 def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray) -> Gradient:
     """Mean gradient of the softmax cross-entropy over the batch.
 
-    Entries at masked positions are zeroed: pruned coordinates are outside
-    the optimization problem entirely.
+    Differentiates at the masked views forward cached (the version check
+    keeps them current) and zeroes the entries at masked positions: pruned
+    coordinates are outside the optimization problem entirely.
     """
     if cache.params_version != model.params_version:
         raise StaleCacheError("cache was built for different parameters")
@@ -242,22 +242,20 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray) 
         raise StaleCacheError("cache already consumed by a backward pass")
     cache.consumed = True
 
-    n = cache.batch_size
     d_out = _softmax(logits)
     d_out[np.arange(len(targets)), targets] -= 1.0
-    d_out /= n
+    d_out /= cache.batch_size
 
-    grad = model.new_gradient()
-    param_views = model.masked_param_views()
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        d_out, d_params = layer.backward(d_out, cache.layer_caches[i], param_views[i])
-        for view, d_p in zip(grad.views[i], d_params):
-            view[...] = d_p
-    grad.flat *= model.mask
-    if not np.all(np.isfinite(grad.flat)):
+    d_params = []                 # built back to front, so in parameter order
+    for layer, layer_cache, views in zip(model.layers[::-1], cache.layer_caches[::-1],
+                                         cache.param_views[::-1]):
+        d_out, layer_d = layer.backward(d_out, layer_cache, views)
+        d_params[:0] = layer_d
+    flat = np.concatenate([d.ravel() for d in d_params])
+    flat *= model.mask
+    if not np.all(np.isfinite(flat)):
         raise NumericOverflow("non-finite gradient")
-    return grad
+    return Gradient(flat)
 
 
 def batch_gradient(model, inputs, targets):
@@ -268,19 +266,19 @@ def batch_gradient(model, inputs, targets):
     return loss, err, grad
 
 
-def full_gradient(model, inputs, labels, chunk: int = 1024) -> Gradient:
+def full_gradient(model, inputs, labels) -> Gradient:
     """Exact mean gradient over an entire data set.
 
-    Chunked so large sets do not blow up the im2col buffers; the weighted
-    chunk mean equals the one-shot mean exactly (linearity).
+    Taken in chunks of FULL_GRADIENT_CHUNK samples; the weighted chunk
+    mean equals the one-shot mean exactly (linearity).
     """
     n = len(labels)
     if n == 0:
         raise ConfigError("empty dataset")
-    total = model.new_gradient()
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    total = np.zeros(model.param_count)
+    for start in range(0, n, FULL_GRADIENT_CHUNK):
+        stop = min(start + FULL_GRADIENT_CHUNK, n)
         _, _, g = batch_gradient(model, inputs[start:stop], labels[start:stop])
-        total.flat += g.flat * (stop - start)
-    total.flat /= n
-    return total
+        total += g.flat * (stop - start)
+    total /= n
+    return Gradient(total)

@@ -5,9 +5,9 @@ All three are instances of the generic iteration
     w_{k+1} = w_k - eta_k * g_k
 
 with g_k the raw mini-batch gradient (sgd), the velocity buffer
-(momentum), or the look-ahead combination (nesterov). Velocity and
-parameters are forcibly re-masked every step, so pruning is equivalent
-to deleting the coordinate from the problem.
+(momentum), or the look-ahead combination (nesterov). The update is
+coordinate-wise, so a coordinate whose gradient is always zero keeps a
+zero velocity and never moves.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
     return eta_bar * max(spec.floor_fraction, frac)
 
 
-def apply_update(params: np.ndarray, grad: np.ndarray, mask: np.ndarray,
+def apply_update(params: np.ndarray, grad: np.ndarray,
                  config: OptimizerConfig, state: OptimizerState) -> float:
     """One in-place update on a flat parameter vector; returns eta_k used."""
     eta = schedule_eta(config.schedule, config.eta_bar, state.k + 1)
@@ -82,13 +82,11 @@ def apply_update(params: np.ndarray, grad: np.ndarray, mask: np.ndarray,
     else:
         state.velocity *= m
         state.velocity += grad
-        state.velocity *= mask
         if config.algorithm == "momentum":
             direction = state.velocity
         else:  # nesterov look-ahead
             direction = grad + m * state.velocity
     params -= eta * direction
-    params *= mask
     state.k += 1
     if not np.all(np.isfinite(params)):
         raise NumericOverflow(f"non-finite parameters after step {state.k}")
@@ -99,6 +97,6 @@ def step(model, grad, config: OptimizerConfig, state: OptimizerState) -> float:
     """Update a model in place from an nn.Gradient; returns eta_k used."""
     if grad.flat.shape != model.params.shape:
         raise ConfigError("gradient length does not match parameter count")
-    eta = apply_update(model.params, grad.flat, model.mask, config, state)
+    eta = apply_update(model.params, grad.flat, config, state)
     model.bump_version()
     return eta

@@ -37,7 +37,7 @@ def connection_sensitivity(model, inputs, targets) -> np.ndarray:
     Returns the all-zero vector when every product is zero (e.g. an
     all-zero initialization), rather than dividing by zero.
     """
-    if model.pruned or not np.all(model.mask == 1.0):
+    if not np.all(model.mask == 1.0):
         raise ConfigError("saliency must be computed on an unpruned model")
     _, _, grad = batch_gradient(model, inputs, targets)
     scores = np.abs(grad.flat * model.params)
@@ -71,6 +71,5 @@ def apply_mask(model, mask: Mask):
             f"mask length {mask.bits.size} != parameter count {model.param_count}")
     model.mask = mask.bits.copy()
     model.params *= model.mask
-    model.pruned = True
     model.bump_version()
     return model

@@ -43,7 +43,6 @@ def run_quadratic_sgd(lams, w1, eta, num_steps, noise_power, seed):
     """
     lams = np.asarray(lams, dtype=float)
     w = np.asarray(w1, dtype=float).copy()
-    mask = np.ones_like(w)
     config = OptimizerConfig("sgd", eta)
     state = OptimizerState.fresh(w.size)
     rng = np.random.default_rng(seed)
@@ -54,7 +53,7 @@ def run_quadratic_sgd(lams, w1, eta, num_steps, noise_power, seed):
         direction = rng.normal(size=w.size)
         direction /= np.linalg.norm(direction)
         apply_update(w, grad_true + np.sqrt(noise_power) * direction,
-                     mask, config, state)
+                     config, state)
     return total / num_steps
 
 

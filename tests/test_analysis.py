@@ -67,6 +67,16 @@ def test_negative_slope_data_clamps_c1_to_zero():
     assert fit.residual > 0
 
 
+def test_equal_steps_give_exactly_zero_c1():
+    # lstsq leaves c1 at rounding level (2e-15 for three equal K); a c1
+    # that small is no slope, and a sparse/dense c1 ratio built on it is noise
+    for batches in ((2, 8, 32), (2, 8, 32, 128)):
+        fit = fit_scaling([(b, 16.0) for b in batches])
+        assert fit.c1 == 0.0
+        assert fit.c2 == 16.0
+        assert fit.residual == 0.0
+
+
 def test_negative_intercept_data_clamps_c2_to_zero():
     # steep decay through the origin: unconstrained intercept is negative
     fit = fit_scaling([(1, 100.0), (2, 45.0), (4, 20.0), (8, 8.0)])

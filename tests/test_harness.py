@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import smoke_workload
+from sparselab import harness
 from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
@@ -172,7 +173,7 @@ def test_prune_at_init_gives_kept_units_their_init_norm(arch, sparsity):
 def test_prune_at_init_at_zero_sparsity_is_the_dense_init(arch):
     spec = PRUNING_SPECS[arch]
     model = prune_at_init(build_model(spec), pruning_train_set(spec), 0.0, seed=5)
-    assert not model.pruned and np.all(model.mask == 1.0)
+    assert np.all(model.mask == 1.0)
     assert model.params.tobytes() == build_model(spec).params.tobytes()
 
 
@@ -191,6 +192,25 @@ def test_step_hook_sees_the_pruned_init_at_step_zero(sparsity):
     train, _ = resolve_dataset(wl)
     probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
     assert seen["params"].tobytes() == probe.params.tobytes()
+
+
+def test_mask_violation_during_training_names_the_trial(monkeypatch):
+    # the check at the end of run_trial is the runtime guard of the mask
+    # invariant: pruned parameters are zero at init and must stay zero
+    real_step = harness.step
+
+    def leaky_step(model, grad, config, state):
+        eta = real_step(model, grad, config, state)
+        model.params[np.argmin(model.mask)] = 1e-3    # a pruned coordinate
+        model.bump_version()
+        return eta
+
+    monkeypatch.setattr(harness, "step", leaky_step)
+    wl = smoke_workload(max_steps=16)
+    point = StudyPoint(16, 0.5)
+    key = trial_key(wl.id, point, 0, 1)
+    with pytest.raises(RuntimeError, match=f"trial {key}: mask violated"):
+        run_trial(wl, point, ETA, seed=1)
 
 
 def test_resolve_dataset_gives_inputs_in_the_model_input_shape():

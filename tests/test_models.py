@@ -33,7 +33,7 @@ def test_cnn_parameter_count_arithmetic():
 def test_fresh_model_mask_is_all_ones():
     model = build_model(ModelSpec("simple-mlp", (10,), (5,), 3, seed=0))
     assert model.mask.sum() == model.param_count
-    assert not model.pruned
+    assert np.all(model.mask == 1.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -130,11 +130,20 @@ def test_forward_invariant_to_values_at_masked_positions():
     bits = np.ones(model.param_count)
     bits[::2] = 0.0
     apply_mask(model, Mask(bits, 0.5))
-    x = np.random.default_rng(3).normal(size=(4, 6))
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 6))
+    y = rng.integers(0, 3, size=4)
     clean, _ = nn.forward(model, x)
+    clean_loss, clean_err, clean_grad = nn.batch_gradient(model, x, y)
     model.params[bits == 0.0] = 1e6   # garbage at pruned coordinates
     dirty, _ = nn.forward(model, x)
     assert np.array_equal(clean, dirty)
+    # backward differentiates at the masked views forward cached, so the
+    # garbage must not reach the gradient either
+    model.bump_version()
+    loss, err, grad = nn.batch_gradient(model, x, y)
+    assert loss == clean_loss and err == clean_err
+    assert grad.flat.tobytes() == clean_grad.flat.tobytes()
 
 
 def test_forward_backward_deterministic_bitwise():

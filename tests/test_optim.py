@@ -43,9 +43,8 @@ def test_linear_decay_is_non_increasing(horizon, floor, eta_bar):
 def test_single_sgd_step_arithmetic():
     params = np.array([1.0, 1.0])
     grad = np.array([2.0, -1.0])
-    mask = np.ones(2)
     state = OptimizerState.fresh(2)
-    apply_update(params, grad, mask, OptimizerConfig("sgd", 0.1), state)
+    apply_update(params, grad, OptimizerConfig("sgd", 0.1), state)
     np.testing.assert_allclose(params, [0.8, 1.1], rtol=1e-15)
     assert state.k == 1
 
@@ -54,15 +53,14 @@ def test_momentum_with_zero_coefficient_equals_sgd():
     rng = np.random.default_rng(0)
     w_sgd = rng.normal(size=20)
     w_mom = w_sgd.copy()
-    mask = np.ones(20)
     s_sgd = OptimizerState.fresh(20)
     s_mom = OptimizerState.fresh(20)
     c_sgd = OptimizerConfig("sgd", 0.05)
     c_mom = OptimizerConfig("momentum", 0.05, momentum_coeff=0.0)
     for i in range(100):
         g = np.random.default_rng(100 + i).normal(size=20)
-        apply_update(w_sgd, g, mask, c_sgd, s_sgd)
-        apply_update(w_mom, g, mask, c_mom, s_mom)
+        apply_update(w_sgd, g, c_sgd, s_sgd)
+        apply_update(w_mom, g, c_mom, s_mom)
     assert np.array_equal(w_sgd, w_mom)
 
 
@@ -89,7 +87,7 @@ def test_momentum_and_nesterov_match_hand_iterated_recurrence():
         config = OptimizerConfig(algo, eta, momentum_coeff=m)
         got = []
         for _ in range(10):
-            apply_update(w, lam * w.copy(), np.ones(1), config, state)
+            apply_update(w, lam * w.copy(), config, state)
             got.append(float(w[0]))
         np.testing.assert_allclose(got, ref, rtol=1e-12)
 
@@ -105,7 +103,7 @@ def test_mask_preserved_over_many_steps(algo):
     state = OptimizerState.fresh(m)
     for i in range(200):
         grad = np.random.default_rng(i).normal(size=m) * mask
-        apply_update(params, grad, mask, config, state)
+        apply_update(params, grad, config, state)
     assert np.max(np.abs(params * (1.0 - mask))) == 0.0
     assert np.all(state.velocity[mask == 0.0] == 0.0)
 
@@ -127,7 +125,7 @@ def test_step_updates_model_and_version():
 def test_non_finite_update_raises():
     params = np.array([1.0])
     with pytest.raises(NumericOverflow):
-        apply_update(params, np.array([np.inf]), np.ones(1),
+        apply_update(params, np.array([np.inf]),
                      OptimizerConfig("sgd", 1.0), OptimizerState.fresh(1))
 
 

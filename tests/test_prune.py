@@ -101,7 +101,7 @@ def test_apply_mask_zeroes_and_is_idempotent():
     saliency = connection_sensitivity(model, x, y)
     mask = topk_mask(saliency, 0.7)
     apply_mask(model, mask)
-    assert model.pruned
+    assert np.array_equal(model.mask, mask.bits)
     first = model.params.copy()
     apply_mask(model, mask)
     assert np.array_equal(first, model.params)
