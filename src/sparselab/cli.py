@@ -20,7 +20,7 @@ from pathlib import Path
 from . import analysis, report
 from .config import echo_config, load_config
 from .exceptions import ConfigError, InsufficientDataError, ResultsFormatError
-from .harness import StudyPoint, prune_at_init, resolve_dataset, run_study
+from .harness import StudyPoint, number, prune_at_init, resolve_dataset, run_study
 from .models import build_model
 
 EXIT_OK = 0
@@ -40,9 +40,9 @@ def _parse_grid_override(text: str):
             continue
         key, _, values = part.partition("=")
         if key == "B":
-            batches = [int(v) for v in values.split(",")]
+            batches = [number(int, v, "--grid-override B") for v in values.split(",")]
         elif key == "s":
-            sparsities = [float(v) for v in values.split(",")]
+            sparsities = [number(float, v, "--grid-override s") for v in values.split(",")]
         else:
             raise ConfigError(f"bad grid override key {key!r} (use B= and s=)")
     return batches, sparsities
@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: best from the summary)")
     p_lip.add_argument("--momentum", type=float, default=None)
     p_lip.add_argument("--seed", type=int, default=None)
-    p_lip.add_argument("--budget", type=int, default=None)
     p_lip.add_argument("--grid-override", default=None)
     p_lip.set_defaults(func=cmd_lipschitz)
 

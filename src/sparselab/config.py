@@ -4,9 +4,14 @@ JSON with an `include` mechanism: included files load first and the
 including file's keys override them (nested dicts merge recursively),
 so shared workload blocks can live in one place.
 
-Defaults when a field is omitted follow the full-scale measurement
-protocol: trial budget 100, step cap 40000, evaluation every 16 steps
-for flat inputs and every 32 for image inputs.
+Each block maps onto its dataclass by field name: `workload` onto
+`Workload`, its `model` onto `ModelSpec`, its `schedule` onto
+`ScheduleSpec`, each search space onto `SearchSpace`. The dataclasses
+hold the defaults. An unknown key, a missing one, or a value that is not
+a number where one is needed is a ConfigError naming the block and key.
+The protocol defaults the dataclasses lack are stated here: trial budget
+100, step cap 40000, `sgd`, and evaluation every 16 steps for flat
+inputs and every 32 for image inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 from pathlib import Path
 
 from .exceptions import ConfigError
-from .harness import StudyConfig, Workload
+from .harness import StudyConfig, Workload, from_block, number
 from .models import ModelSpec
 from .optim import ScheduleSpec
 from .quasirand import SearchSpace
@@ -58,10 +63,10 @@ def _load_tree(path: Path, seen: tuple = ()) -> dict:
     return _merge(merged, raw)
 
 
-def _require(tree: dict, key: str, where: str):
-    if key not in tree:
+def _require(block, key: str, where: str):
+    if not isinstance(block, dict) or key not in block:
         raise ConfigError(f"missing {key!r} in {where}")
-    return tree[key]
+    return block[key]
 
 
 def load_config(path) -> StudyConfig:
@@ -71,56 +76,34 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"unsupported config schema_version {version}")
 
     w = _require(tree, "workload", "config")
-    model_cfg = dict(_require(w, "model", "workload"))
-    model_spec = ModelSpec(
-        arch=_require(model_cfg, "arch", "model"),
-        input_shape=tuple(_require(model_cfg, "input_shape", "model")),
-        widths=tuple(_require(model_cfg, "widths", "model")),
-        classes=_require(model_cfg, "classes", "model"),
-        init=model_cfg.get("init", "he-uniform"),
-        seed=model_cfg.get("seed", 0),
-    )
-    schedule_cfg = dict(w.get("schedule", {"kind": "constant"}))
-    schedule = ScheduleSpec(
-        kind=schedule_cfg.get("kind", "constant"),
-        decay_horizon=schedule_cfg.get("decay_horizon", 0),
-        floor_fraction=schedule_cfg.get("floor_fraction", 0.0),
-    )
-    default_interval = (DEFAULT_EVAL_INTERVAL_IMAGE
-                        if len(model_spec.input_shape) == 3
-                        else DEFAULT_EVAL_INTERVAL_FLAT)
-    workload = Workload(
-        id=_require(w, "id", "workload"),
-        dataset=dict(_require(w, "dataset", "workload")),
-        model_spec=model_spec,
-        algorithm=w.get("algorithm", "sgd"),
-        schedule=schedule,
-        goal_error=float(_require(w, "goal_error", "workload")),
-        eval_interval=int(w.get("eval_interval", default_interval)),
-        max_steps=int(w.get("max_steps", DEFAULT_MAX_STEPS)),
-        val_fraction=float(w.get("val_fraction", 0.1)),
-        data_seed=int(w.get("data_seed", 0)),
-    )
+    model_spec = from_block(ModelSpec, _require(w, "model", "workload"), "workload.model")
+    fields = {k: v for k, v in w.items() if k != "model"}
+    fields["model_spec"] = model_spec
+    fields["schedule"] = from_block(ScheduleSpec, w.get("schedule", {}), "workload.schedule")
+    workload = from_block(
+        Workload, fields, "workload", algorithm="sgd", max_steps=DEFAULT_MAX_STEPS,
+        eval_interval=(DEFAULT_EVAL_INTERVAL_IMAGE if len(model_spec.input_shape) == 3
+                       else DEFAULT_EVAL_INTERVAL_FLAT))
 
     study = _require(tree, "study", "config")
-    spaces = [SearchSpace(name=s["name"], scale=s["scale"],
-                          low=float(s["low"]), high=float(s["high"]))
-              for s in _require(tree, "search_spaces", "config")]
+    spaces = [from_block(SearchSpace, s, f"search_spaces[{i}]")
+              for i, s in enumerate(_require(tree, "search_spaces", "config"))]
     names = [s.name for s in spaces]
     if "eta_bar" not in names:
         raise ConfigError("search_spaces must include eta_bar")
     if workload.algorithm in ("momentum", "nesterov") and "momentum_coeff" not in names:
         raise ConfigError(f"{workload.algorithm} needs a momentum_coeff search space")
 
-    data_root = tree.get("data_root") or os.environ.get(DATA_ROOT_ENV)
     return StudyConfig(
         workload=workload,
-        batch_sizes=[int(b) for b in _require(study, "batch_sizes", "study")],
-        sparsities=[float(s) for s in _require(study, "sparsities", "study")],
-        budget=int(tree.get("budget", DEFAULT_BUDGET)),
-        seed=int(tree.get("seed", 0)),
+        batch_sizes=[number(int, b, "study.batch_sizes")
+                     for b in _require(study, "batch_sizes", "study")],
+        sparsities=[number(float, s, "study.sparsities")
+                    for s in _require(study, "sparsities", "study")],
+        budget=number(int, tree.get("budget", DEFAULT_BUDGET), "budget"),
+        seed=number(int, tree.get("seed", 0), "seed"),
         search_spaces=spaces,
-        data_root=data_root,
+        data_root=tree.get("data_root") or os.environ.get(DATA_ROOT_ENV),
     )
 
 

@@ -11,16 +11,22 @@ split every `eval_interval` steps. Its outcome is exactly one of:
                  past 1e4x its initial value)
 
 Steps-to-result K* for a study point is the lowest steps_to_goal over
-its complete trials.
+its complete trials; a tie goes to the lowest trial index (Sobol order).
+
+A trial's key hashes the whole workload, the point, the metaparameters,
+the seed and the trial index, so resuming reuses only matching records.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +40,8 @@ from .quasirand import draw_assignments
 
 # v2: pruned nets start with each unit's kept weights rescaled to the
 # unit's dense-init norm, so v1 sparse records measured another net.
-RECORD_SCHEMA = 2
+# v3: the trial key covers the whole trial, so a v2 key may name another.
+RECORD_SCHEMA = 3
 DIVERGENCE_FACTOR = 1e4
 SALIENCY_BATCH = 128
 
@@ -138,10 +145,49 @@ class StudyConfig:
 
 
 # ---------------------------------------------------------------------------
-# Dataset resolution
+# Config blocks and dataset resolution
 # ---------------------------------------------------------------------------
 
+def number(kind, value, where: str):
+    """`kind(value)`; a value that is not a number is a ConfigError naming `where`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be numeric, not {value!r}") from None
+
+
+def from_block(fn, block, where: str, **fallback):
+    """`fn(**block)` for a dataclass or function `fn`, matched by name;
+    `fallback` gives values for parameters that `block` omits. Unknown
+    keys and parameters left without a value are ConfigErrors naming
+    `where` and the key. Parameters annotated int or float are coerced."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {block!r}")
+    params = inspect.signature(fn).parameters
+    for key in block:
+        if key not in params:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    args = {**fallback, **block}
+    for name, p in params.items():
+        kind = {"int": int, "float": float}.get(p.annotation)  # postponed: a string
+        if name in args and kind:
+            args[name] = number(kind, args[name], f"{where}.{name}")
+        elif name not in args and p.default is p.empty:
+            raise ConfigError(f"missing {name!r} in {where}")
+    return fn(**args)
+
+
 _DATASET_CACHE: dict = {}
+
+
+def _idx_files(data_root: str | None, images: str, labels: str) -> Dataset:
+    paths = [os.path.join(data_root or "", p) for p in (images, labels)]
+    for p in paths:
+        if not os.path.exists(p):
+            raise FileNotFoundError(
+                f"dataset file not found: {p} (set the data root via "
+                f"--config paths, or the SPARSELAB_DATA_ROOT variable)")
+    return load_idx(*paths)
 
 
 def resolve_dataset(workload: Workload, data_root: str | None = None):
@@ -159,23 +205,12 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
         return _DATASET_CACHE[key]
     cfg = dict(workload.dataset)
     kind = cfg.pop("kind", None)
-    train_noise = float(cfg.pop("train_label_noise", 0.0))
-    if kind == "synth":
-        full = synth_dataset(**cfg)
-    elif kind == "idx":
-        paths = []
-        for name in ("images", "labels"):
-            p = cfg[name]
-            if data_root and not os.path.isabs(p):
-                p = os.path.join(data_root, p)
-            if not os.path.exists(p):
-                raise FileNotFoundError(
-                    f"dataset file not found: {p} (set the data root via "
-                    f"--config paths, or the SPARSELAB_DATA_ROOT variable)")
-            paths.append(p)
-        full = load_idx(*paths)
-    else:
+    train_noise = number(float, cfg.pop("train_label_noise", 0.0),
+                         "workload.dataset.train_label_noise")
+    loaders = {"synth": synth_dataset, "idx": partial(_idx_files, data_root)}
+    if kind not in loaders:
         raise ConfigError(f"unknown dataset kind {kind!r}")
+    full = from_block(loaders[kind], cfg, "workload.dataset")
     full.inputs = _shaped(full.inputs, workload.model_spec)
     train, val = split_validation(full, workload.val_fraction, workload.data_seed)
     if train_noise > 0.0:
@@ -195,8 +230,11 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
 # Single trial
 # ---------------------------------------------------------------------------
 
-def trial_key(workload_id: str, point: StudyPoint, trial_index: int, seed: int) -> str:
-    text = f"{workload_id}|B={point.batch_size}|s={point.sparsity}|t={trial_index}|seed={seed}"
+def trial_key(workload: Workload, point: StudyPoint, metaparams: dict,
+              seed: int, trial_index: int) -> str:
+    """Hash of the canonical JSON of the `run_trial` arguments deciding the trial."""
+    text = json.dumps([asdict(workload), asdict(point), metaparams, seed,
+                       trial_index], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -271,16 +309,12 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
     if step_hook is not None:
         step_hook(model, 0)
 
-    config = OptimizerConfig(
-        algorithm=workload.algorithm,
-        eta_bar=metaparams["eta_bar"],
-        momentum_coeff=metaparams.get("momentum_coeff", 0.0),
-        schedule=workload.schedule,
-    )
+    config = from_block(OptimizerConfig, metaparams, "metaparams",
+                        algorithm=workload.algorithm, schedule=workload.schedule)
     state = OptimizerState.fresh(model.param_count)
     order_rng = np.random.default_rng([seed, 0x02DE])
 
-    key = trial_key(workload.id, point, trial_index, seed)
+    key = trial_key(workload, point, metaparams, seed, trial_index)
     history = []
     status = INCOMPLETE
     steps_to_goal = None
@@ -333,11 +367,11 @@ def steps_to_result(records: list) -> int | None:
 
 
 def best_trial(records: list) -> TrialRecord | None:
-    """The fastest complete trial; ties keep the smallest trial key."""
+    """The fastest complete trial; ties keep the lowest trial index, then key."""
     complete = [r for r in records if r.status == COMPLETE]
     if not complete:
         return None
-    return min(complete, key=lambda r: (r.steps_to_goal, r.trial_key))
+    return min(complete, key=lambda r: (r.steps_to_goal, r.trial_index, r.trial_key))
 
 
 def aggregate(records: list, cfg: StudyConfig) -> StudyTable:
@@ -415,39 +449,30 @@ def planned_trials(cfg: StudyConfig) -> list:
             for i, metaparams in enumerate(assignments):
                 seed = cfg.seed + i
                 plan.append((point, i, metaparams, seed,
-                             trial_key(cfg.workload.id, point, i, seed)))
+                             trial_key(cfg.workload, point, metaparams, seed, i)))
     return plan
-
-
-def _trial_task(args):
-    workload, point, metaparams, seed, index, data_root = args
-    return run_trial(workload, point, metaparams, seed, index, data_root)
 
 
 def run_study(cfg: StudyConfig, records_path, workers: int = 1,
               progress=None) -> StudyTable:
     """Run (or resume) a full study; returns the aggregated table.
 
-    Completed trials found in the records file are skipped, so reruns
-    after interruption execute only the missing work.
+    Planned trials whose key is in the records file are skipped, so
+    reruns after interruption execute only the missing work.
     """
     existing = load_records(records_path)
     plan = planned_trials(cfg)
     todo = [(cfg.workload, point, mp, seed, i, cfg.data_root)
             for point, i, mp, seed, key in plan if key not in existing]
 
-    if workers > 1 and len(todo) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_trial_task, t) for t in todo]
-            for fut in as_completed(futures):
-                rec = fut.result()
-                append_record(records_path, rec)
-                existing[rec.trial_key] = rec
-                if progress:
-                    progress(rec)
-    else:
-        for t in todo:
-            rec = _trial_task(t)
+    parallel = workers > 1 and len(todo) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        if parallel:
+            futures = [pool.submit(run_trial, *t) for t in todo]
+            done = (f.result() for f in as_completed(futures))
+        else:
+            done = (run_trial(*t) for t in todo)
+        for rec in done:
             append_record(records_path, rec)
             existing[rec.trial_key] = rec
             if progress:

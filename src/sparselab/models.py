@@ -16,8 +16,7 @@ exercising conv backprop, not a faithful residual architecture.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +47,6 @@ class ModelSpec:
             raise ConfigError("class count must be >= 2")
         if any(w < 1 for w in self.widths):
             raise ConfigError("widths must be >= 1")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelSpec":
-        return cls(**json.loads(text))
 
 
 class Model:

@@ -9,6 +9,7 @@ from sparselab.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL,
                            _parse_grid_override, main)
 from sparselab.config import load_config
 from sparselab.exceptions import ConfigError
+from sparselab.harness import StudyConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.json")
@@ -16,6 +17,15 @@ SMOKE = str(CONFIGS / "smoke.json")
 
 def run_cli(*args):
     return main(list(args))
+
+
+def edited_smoke(tmp_path, edit):
+    """configs/smoke.json after `edit(tree)`, written to a new file."""
+    tree = json.loads(Path(SMOKE).read_text())
+    edit(tree)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(tree))
+    return str(path)
 
 
 def test_smoke_run_writes_summary_with_one_row_per_study_point(tmp_path, capsys):
@@ -31,6 +41,26 @@ def test_rerun_is_idempotent(tmp_path):
     records = (tmp_path / "records.jsonl").read_text()
     assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
     assert (tmp_path / "records.jsonl").read_text() == records
+
+
+def test_rerun_runs_again_exactly_the_trials_whose_config_changed(tmp_path):
+    out = tmp_path / "results"
+
+    def trials_run(edit=lambda tree: None):
+        records = out / "records.jsonl"
+        before = len(records.read_text().splitlines()) if records.exists() else 0
+        run_cli("run", "--config", edited_smoke(tmp_path, edit), "--out", str(out))
+        return len(records.read_text().splitlines()) - before
+
+    assert trials_run() == 9
+    assert trials_run() == 0
+    edits = [lambda tree: tree["search_spaces"][0].update(low=1e-4, high=1e-3),
+             lambda tree: tree["workload"].update(goal_error=0.5),
+             lambda tree: tree["workload"].update(max_steps=50)]
+    for edit in edits:
+        assert trials_run(edit) == 9
+        assert trials_run(edit) == 0
+    assert trials_run() == 0
 
 
 def test_budget_and_grid_overrides(tmp_path):
@@ -61,6 +91,56 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("run", "--config", str(broken), "--out", str(tmp_path)) == EXIT_CONFIG
     missing = tmp_path / "nope.json"
     assert run_cli("run", "--config", str(missing), "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+BAD_CONFIGS = {
+    "workload unknown": (lambda t: t["workload"].update(max_stepz=50),
+                         "unknown key 'max_stepz' in workload"),
+    "workload missing": (lambda t: t["workload"].pop("goal_error"),
+                         "missing 'goal_error' in workload"),
+    "workload non-numeric": (lambda t: t["workload"].update(max_steps="many"),
+                             "workload.max_steps must be numeric"),
+    "model unknown": (lambda t: t["workload"]["model"].update(width=[8]),
+                      "unknown key 'width' in workload.model"),
+    "model missing": (lambda t: t["workload"]["model"].pop("classes"),
+                      "missing 'classes' in workload.model"),
+    "model non-numeric": (lambda t: t["workload"]["model"].update(classes="four"),
+                          "workload.model.classes must be numeric"),
+    "schedule unknown": (lambda t: t["workload"]["schedule"].update(horizon=5),
+                         "unknown key 'horizon' in workload.schedule"),
+    "schedule non-numeric": (lambda t: t["workload"]["schedule"].update(
+                                 kind="linear-decay", decay_horizon="long"),
+                             "workload.schedule.decay_horizon must be numeric"),
+    "search space unknown": (lambda t: t["search_spaces"][0].update(step=2),
+                             "unknown key 'step' in search_spaces[0]"),
+    "search space missing": (lambda t: t["search_spaces"][0].pop("scale"),
+                             "missing 'scale' in search_spaces[0]"),
+    "search space non-numeric": (lambda t: t["search_spaces"][0].update(low="tiny"),
+                                 "search_spaces[0].low must be numeric"),
+    "synth unknown": (lambda t: t["workload"]["dataset"].update(seperation=3.0),
+                      "unknown key 'seperation' in workload.dataset"),
+    "synth missing": (lambda t: t["workload"]["dataset"].pop("dims"),
+                      "missing 'dims' in workload.dataset"),
+    "synth non-numeric": (lambda t: t["workload"]["dataset"].update(separation="far"),
+                          "workload.dataset.separation must be numeric"),
+    "idx missing": (lambda t: t["workload"].update(
+                        dataset={"kind": "idx", "images": "no/such.idx"}),
+                    "missing 'labels' in workload.dataset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_key_is_a_config_error_naming_it(tmp_path, capsys, case):
+    edit, message = BAD_CONFIGS[case]
+    path = edited_smoke(tmp_path, edit)
+    assert run_cli("run", "--config", path, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["smoke.json", "scaling_study.json", "full/mnist.json",
+                                  "full/fashion_mnist.json", "full/cifar10.json"])
+def test_shipped_config_loads_under_the_strict_loader(name):
+    assert isinstance(load_config(CONFIGS / name), StudyConfig)
 
 
 def test_missing_dataset_file_exit_code(tmp_path):
@@ -185,12 +265,16 @@ def test_report_renders_all_sections_after_pipeline(tmp_path, capsys):
     assert "Missing inputs: ratios.csv" in text
 
 
-def test_grid_override_parser():
+def test_grid_override_parser(tmp_path, capsys):
     assert _parse_grid_override("B=2,4,8;s=0,0.9") == ([2, 4, 8], [0.0, 0.9])
     assert _parse_grid_override("B=16") == ([16], None)
     assert _parse_grid_override("s=0.5") == (None, [0.5])
-    with pytest.raises(ConfigError):
-        _parse_grid_override("q=1")
+    for bad in ("q=1", "B=", "B=2,x", "s=abc"):
+        with pytest.raises(ConfigError):
+            _parse_grid_override(bad)
+    assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path),
+                   "--grid-override", "B=2,x") == EXIT_CONFIG
+    assert "--grid-override B must be numeric, not 'x'" in capsys.readouterr().err
 
 
 def test_normalized_curve_starts_at_one(tmp_path):

@@ -1,7 +1,7 @@
 """Trial execution, classification, aggregation, and resumable studies."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,11 +12,12 @@ from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
                                SALIENCY_BATCH, StudyConfig, StudyPoint,
-                               TrialRecord, aggregate, best_trial, load_records,
-                               planned_trials, prune_at_init, resolve_dataset,
-                               run_study, run_trial, steps_to_result, trial_key,
-                               _shaped)
+                               TrialRecord, Workload, aggregate, best_trial,
+                               load_records, planned_trials, prune_at_init,
+                               resolve_dataset, run_study, run_trial,
+                               steps_to_result, trial_key, _shaped)
 from sparselab.models import ModelSpec, build_model
+from sparselab.optim import ScheduleSpec
 from sparselab.prune import connection_sensitivity, topk_mask
 from sparselab.quasirand import SearchSpace
 from sparselab.report import read_table, write_summary
@@ -208,7 +209,7 @@ def test_mask_violation_during_training_names_the_trial(monkeypatch):
     monkeypatch.setattr(harness, "step", leaky_step)
     wl = smoke_workload(max_steps=16)
     point = StudyPoint(16, 0.5)
-    key = trial_key(wl.id, point, 0, 1)
+    key = trial_key(wl, point, ETA, 1, 0)
     with pytest.raises(RuntimeError, match=f"trial {key}: mask violated"):
         run_trial(wl, point, ETA, seed=1)
 
@@ -248,11 +249,53 @@ def test_steps_to_result_tie_keeps_smallest_trial_key():
     assert steps_to_result([rec("zz")]) == 480 and 480 % 16 == 0
 
 
+def test_steps_to_result_tie_keeps_lowest_trial_index():
+    # K* ties go to the first trial in Sobol order, whatever the key hashes
+    def rec(key, index):
+        return TrialRecord(key, 8, 0.0, index, {"eta_bar": index}, 0,
+                           COMPLETE, 480, [], 1.0)
+    best = best_trial([rec("aa", 2), rec("zz", 0), rec("mm", 1)])
+    assert best.trial_index == 0 and best.trial_key == "zz"
+
+
 def test_trial_key_is_stable():
-    key = trial_key("smoke", StudyPoint(16, 0.5), 3, 11)
-    assert key == trial_key("smoke", StudyPoint(16, 0.5), 3, 11)
+    point = StudyPoint(16, 0.5)
+    key = trial_key(smoke_workload(), point, ETA, 11, 3)
+    assert key == trial_key(smoke_workload(), point, ETA, 11, 3)
     assert len(key) == 16
-    assert key != trial_key("smoke", StudyPoint(16, 0.5), 3, 12)
+    assert key != trial_key(smoke_workload(), point, ETA, 12, 3)
+
+
+def test_trial_key_covers_every_value_run_trial_takes():
+    wl, point, seed, index = smoke_workload(), StudyPoint(16, 0.5), 11, 3
+    key = trial_key(wl, point, ETA, seed, index)
+    # equal values, built separately and in another key order, give equal keys
+    same = replace(wl, dataset=dict(reversed(list(wl.dataset.items()))),
+                   model_spec=ModelSpec("simple-mlp", [6], [8], 4, seed=3))
+    assert key == trial_key(same, StudyPoint(16, 0.5), {"eta_bar": 0.1}, seed, index)
+
+    changed = {
+        "id": "other",
+        "dataset": {**wl.dataset, "separation": 9.0},
+        "model_spec": replace(wl.model_spec, seed=4),
+        "algorithm": "momentum",
+        "schedule": ScheduleSpec("linear-decay", decay_horizon=400),
+        "goal_error": 0.3,
+        "eval_interval": 8,
+        "max_steps": 50,
+        "val_fraction": 0.2,
+        "data_seed": 6,
+    }
+    assert set(changed) == {f.name for f in fields(Workload)}
+    keys = [trial_key(replace(wl, **{name: value}), point, ETA, seed, index)
+            for name, value in changed.items()]
+    keys += [trial_key(wl, StudyPoint(32, 0.5), ETA, seed, index),
+             trial_key(wl, StudyPoint(16, 0.7), ETA, seed, index),
+             trial_key(wl, point, {"eta_bar": 0.2}, seed, index),
+             trial_key(wl, point, {**ETA, "momentum_coeff": 0.9}, seed, index),
+             trial_key(wl, point, ETA, seed + 1, index),
+             trial_key(wl, point, ETA, seed, index + 1)]
+    assert len(set(keys + [key])) == len(keys) + 1
 
 
 def smoke_config(goal=0.25, budget=3):
@@ -330,6 +373,8 @@ def test_run_study_parallel_matches_serial(tmp_path):
     parallel = run_study(cfg, tmp_path / "parallel.jsonl", workers=2)
     for c1, c2 in zip(serial.cells, parallel.cells):
         assert c1 == c2
+    assert (load_records(tmp_path / "serial.jsonl")
+            == load_records(tmp_path / "parallel.jsonl"))
 
 
 def test_summary_roundtrip(tmp_path):

@@ -53,13 +53,6 @@ def test_biases_start_at_zero():
             assert np.all(views[1] == 0.0)
 
 
-def test_spec_roundtrips_through_json_exactly():
-    spec = ModelSpec("cnn-lite", (12, 12, 1), (4, 8), 7, seed=17)
-    rebuilt = ModelSpec.from_json(spec.to_json())
-    assert rebuilt == spec
-    assert np.array_equal(build_model(spec).params, build_model(rebuilt).params)
-
-
 def test_initial_loss_finite_on_valid_batch():
     from sparselab import nn
     model = build_model(ModelSpec("cnn-lite", (8, 8, 1), (2, 3), 4, seed=0))
