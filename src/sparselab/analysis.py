@@ -7,8 +7,9 @@
   estimate along the realized update direction, max over a grid of
   fractional steps, with the expected gradient taken over the entire
   training set.
-* estimate_beta: single-sample gradient variance at (pruned)
-  initialization; the batch-B variance bound is then beta / B.
+* estimate_beta: single-sample gradient variance at the trace's own
+  step-0 net (`SmoothnessTrace.model`, pruned at initialization); the
+  batch-B variance bound is then beta / B.
 * estimate_delta: twice the empirical optimality gap from a loss history.
 * ratio_report: sparse/dense decomposition delta * beta * L, which must
   multiply out to the ratio of fitted c1 constants.
@@ -54,6 +55,7 @@ class SmoothnessTrace:
     stride: int
     point: StudyPoint
     metaparams: dict = field(default_factory=dict)
+    model: object = None          # the trial's model, at its step-0 parameters
 
     @property
     def average(self) -> float:
@@ -157,11 +159,12 @@ class _SnapshotHook:
         self.stride = stride
         self.limit = limit
         self._held = None
-        self.model = None         # the trial's model, probed afterwards
+        self.model = self.start = None    # the trial's model and its step-0 params
         self.pairs = []           # (k, w_k, w_{k+1})
 
     def __call__(self, model, k: int):
-        self.model = model
+        if k == 0:
+            self.model, self.start = model, model.params.copy()
         if k > 0 and (k - 1) % self.stride == 0 and (k - 1) < self.limit:
             self.pairs.append((k - 1, self._held, model.params.copy()))
         if k % self.stride == 0 and k < self.limit:
@@ -176,9 +179,11 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
     constant every `stride` steps (at k = 0, stride, 2*stride, ...).
 
     Every gradient in the estimate is the exact mean over the whole
-    training split. The trace also records the full-training-set loss at
-    each measured step, which feeds the optimality-gap estimate.
+    training split. The trace also holds the full-training-set loss at each
+    measured step, for the optimality gap, and the trial's step-0 net.
     """
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
     fixed = replace(workload, goal_error=0.0, max_steps=num_steps,
                     eval_interval=num_steps + 1)
     hook = _SnapshotHook(stride, num_steps)
@@ -191,22 +196,18 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
         probe.set_params(w)
         return nn.full_gradient(probe, train.inputs, train.labels).flat
 
-    def loss_at(w):
-        probe.set_params(w)
-        logits, _ = nn.forward(probe, train.inputs)
-        loss, _ = nn.loss_and_error(logits, train.labels)
-        return loss
-
     entries, losses = [], []
     for k, w_k, w_k1 in hook.pairs:
         # Masked coordinates are zero in both snapshots, so the probe model
         # sees the pruned objective without re-applying the mask.
-        losses.append((k, loss_at(w_k)))
+        probe.set_params(w_k)
+        losses.append((k, nn.sweep(probe, train.inputs, train.labels)[0]))
         try:
             entries.append((k, estimate_lipschitz(grad_at, w_k, w_k1, delta)))
         except DegenerateStepError:
             entries.append((k, None))
-    return SmoothnessTrace(entries, losses, stride, point, dict(metaparams))
+    probe.set_params(hook.start)
+    return SmoothnessTrace(entries, losses, stride, point, dict(metaparams), probe)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,6 @@ def estimate_beta(model, inputs, labels) -> float:
     """Mean squared deviation of single-sample gradients from the full
     gradient: the variance bound at batch size 1."""
     n = len(labels)
-    if n == 0:
-        raise ConfigError("empty dataset")
     mean_grad = nn.full_gradient(model, inputs, labels).flat
     total = 0.0
     for i in range(n):

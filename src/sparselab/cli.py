@@ -20,8 +20,7 @@ from pathlib import Path
 from . import analysis, report
 from .config import echo_config, load_config
 from .exceptions import ConfigError, InsufficientDataError, ResultsFormatError
-from .harness import StudyPoint, number, prune_at_init, resolve_dataset, run_study
-from .models import build_model
+from .harness import StudyPoint, number, resolve_dataset, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,9 +155,7 @@ def cmd_lipschitz(args) -> int:
         traces[s] = trace
 
         train, _ = resolve_dataset(cfg.workload, cfg.data_root)
-        probe = prune_at_init(build_model(cfg.workload.model_spec), train, s,
-                              cfg.workload.data_seed)
-        beta = analysis.estimate_beta(probe, train.inputs, train.labels)
+        beta = analysis.estimate_beta(trace.model, train.inputs, train.labels)
         delta = analysis.estimate_delta(trace.losses)
         theory_rows.append({"s": s, "L_avg": trace.average, "beta": beta,
                             "delta": delta, "eta_bar": eta,

@@ -4,14 +4,15 @@ JSON with an `include` mechanism: included files load first and the
 including file's keys override them (nested dicts merge recursively),
 so shared workload blocks can live in one place.
 
-Each block maps onto its dataclass by field name: `workload` onto
-`Workload`, its `model` onto `ModelSpec`, its `schedule` onto
-`ScheduleSpec`, each search space onto `SearchSpace`. The dataclasses
-hold the defaults. An unknown key, a missing one, or a value that is not
-a number where one is needed is a ConfigError naming the block and key.
-The protocol defaults the dataclasses lack are stated here: trial budget
-100, step cap 40000, `sgd`, and evaluation every 16 steps for flat
-inputs and every 32 for image inputs.
+Each block maps onto a dataclass or function by name: the top level
+onto `_study_config`, `study` onto `_grid`, `workload` onto `Workload`,
+its `model` onto `ModelSpec`, its `schedule` onto `ScheduleSpec`, each
+search space onto `SearchSpace`. These hold the defaults. An unknown
+key, a missing one, or a value that is not a number where one is needed
+is a ConfigError naming the block and key. The protocol defaults the
+dataclasses lack are stated here: trial budget 100, seed 0, step cap
+40000, `sgd`, and evaluation every 16 steps for flat inputs and every
+32 for image inputs.
 """
 
 from __future__ import annotations
@@ -70,41 +71,42 @@ def _require(block, key: str, where: str):
 
 
 def load_config(path) -> StudyConfig:
-    tree = _load_tree(Path(path))
-    version = tree.get("schema_version", CONFIG_SCHEMA)
-    if version != CONFIG_SCHEMA:
-        raise ConfigError(f"unsupported config schema_version {version}")
+    return from_block(_study_config, _load_tree(Path(path)), "config")
 
-    w = _require(tree, "workload", "config")
-    model_spec = from_block(ModelSpec, _require(w, "model", "workload"), "workload.model")
-    fields = {k: v for k, v in w.items() if k != "model"}
+
+def _grid(batch_sizes, sparsities):
+    return ([number(int, b, "study.batch_sizes") for b in batch_sizes],
+            [number(float, s, "study.sparsities") for s in sparsities])
+
+
+def _study_config(workload, study, search_spaces, schema_version=CONFIG_SCHEMA,
+                  budget: int = DEFAULT_BUDGET, seed: int = 0,
+                  data_root=None) -> StudyConfig:
+    """The top-level keys of a config file, each with its default."""
+    if schema_version != CONFIG_SCHEMA:
+        raise ConfigError(f"unsupported config schema_version {schema_version}")
+    model_spec = from_block(ModelSpec, _require(workload, "model", "workload"),
+                            "workload.model")
+    fields = {k: v for k, v in workload.items() if k != "model"}
     fields["model_spec"] = model_spec
-    fields["schedule"] = from_block(ScheduleSpec, w.get("schedule", {}), "workload.schedule")
+    fields["schedule"] = from_block(ScheduleSpec, workload.get("schedule", {}),
+                                    "workload.schedule")
     workload = from_block(
         Workload, fields, "workload", algorithm="sgd", max_steps=DEFAULT_MAX_STEPS,
         eval_interval=(DEFAULT_EVAL_INTERVAL_IMAGE if len(model_spec.input_shape) == 3
                        else DEFAULT_EVAL_INTERVAL_FLAT))
 
-    study = _require(tree, "study", "config")
+    batch_sizes, sparsities = from_block(_grid, study, "study")
     spaces = [from_block(SearchSpace, s, f"search_spaces[{i}]")
-              for i, s in enumerate(_require(tree, "search_spaces", "config"))]
+              for i, s in enumerate(search_spaces)]
     names = [s.name for s in spaces]
     if "eta_bar" not in names:
         raise ConfigError("search_spaces must include eta_bar")
     if workload.algorithm in ("momentum", "nesterov") and "momentum_coeff" not in names:
         raise ConfigError(f"{workload.algorithm} needs a momentum_coeff search space")
 
-    return StudyConfig(
-        workload=workload,
-        batch_sizes=[number(int, b, "study.batch_sizes")
-                     for b in _require(study, "batch_sizes", "study")],
-        sparsities=[number(float, s, "study.sparsities")
-                    for s in _require(study, "sparsities", "study")],
-        budget=number(int, tree.get("budget", DEFAULT_BUDGET), "budget"),
-        seed=number(int, tree.get("seed", 0), "seed"),
-        search_spaces=spaces,
-        data_root=tree.get("data_root") or os.environ.get(DATA_ROOT_ENV),
-    )
+    return StudyConfig(workload, batch_sizes, sparsities, budget, seed, spaces,
+                       data_root or os.environ.get(DATA_ROOT_ENV))
 
 
 def echo_config(cfg: StudyConfig) -> str:

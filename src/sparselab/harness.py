@@ -19,6 +19,7 @@ the seed and the trial index, so resuming reuses only matching records.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import inspect
 import json
@@ -76,6 +77,8 @@ class Workload:
     data_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.dataset, dict):
+            raise ConfigError(f"workload.dataset must be an object, not {self.dataset!r}")
         if not 0.0 <= self.goal_error <= 1.0:
             raise ConfigError("goal error must be in [0, 1]")
         if self.eval_interval < 1 or self.max_steps < 1:
@@ -290,6 +293,21 @@ def prune_at_init(model, train: Dataset, sparsity: float, seed: int):
     return model
 
 
+def _pin_heap_thresholds():
+    """Fix glibc's malloc thresholds at the top of its dynamic range (mmap
+    above 32 MB, trim a free heap top above 64 MB). glibc raises them only
+    after freeing a large mmapped block, which chunked passes never free,
+    so each step's temporaries went back to the OS and were faulted in
+    again. A no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)         # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)         # M_MMAP_THRESHOLD
+
+
 def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
               seed: int, trial_index: int = 0, data_root: str | None = None,
               step_hook=None) -> TrialRecord:
@@ -299,6 +317,7 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
     when given, is called as hook(model, step_index) after every update
     (used by the smoothness tracer; it must not mutate the model).
     """
+    _pin_heap_thresholds()
     train, val = resolve_dataset(workload, data_root)
     if point.batch_size > len(train):
         raise ConfigError(
@@ -339,8 +358,7 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
         if step_hook is not None:
             step_hook(model, k)
         if k % workload.eval_interval == 0:
-            logits, _ = nn.forward(model, val.inputs)
-            _, err = nn.loss_and_error(logits, val.labels)
+            _, err, _ = nn.sweep(model, val.inputs, val.labels)
             history.append((k, err))
             if err <= workload.goal_error:
                 status = COMPLETE

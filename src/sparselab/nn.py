@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import ConfigError, NumericOverflow, StaleCacheError
 
-# Samples per batch in full_gradient; bounds the im2col buffers.
+# Samples per forward in sweep; bounds the activation and im2col buffers.
 FULL_GRADIENT_CHUNK = 1024
 
 # ---------------------------------------------------------------------------
@@ -266,19 +266,26 @@ def batch_gradient(model, inputs, targets):
     return loss, err, grad
 
 
-def full_gradient(model, inputs, labels) -> Gradient:
-    """Exact mean gradient over an entire data set.
-
-    Taken in chunks of FULL_GRADIENT_CHUNK samples; the weighted chunk
-    mean equals the one-shot mean exactly (linearity).
-    """
+def sweep(model, inputs, labels, gradient: bool = False):
+    """(mean loss, error rate, mean Gradient or None) over a whole data set,
+    FULL_GRADIENT_CHUNK samples per forward: the only loop over a data set.
+    Loss and error are taken once over the joined logits, so they equal a
+    one-shot pass bit for bit; the gradient is the size-weighted chunk mean."""
     n = len(labels)
     if n == 0:
         raise ConfigError("empty dataset")
-    total = np.zeros(model.param_count)
+    logits, total = [], np.zeros(model.param_count)
     for start in range(0, n, FULL_GRADIENT_CHUNK):
-        stop = min(start + FULL_GRADIENT_CHUNK, n)
-        _, _, g = batch_gradient(model, inputs[start:stop], labels[start:stop])
-        total += g.flat * (stop - start)
-    total /= n
-    return Gradient(total)
+        chunk = slice(start, start + FULL_GRADIENT_CHUNK)
+        out, cache = forward(model, inputs[chunk])
+        logits.append(out)
+        if gradient:
+            total += backward(model, cache, labels[chunk], out).flat * len(out)
+        del cache                 # free the chunk's activations before the next
+    loss, err = loss_and_error(np.concatenate(logits), labels)
+    return loss, err, Gradient(total / n) if gradient else None
+
+
+def full_gradient(model, inputs, labels) -> Gradient:
+    """Exact mean gradient over an entire data set."""
+    return sweep(model, inputs, labels, gradient=True)[2]

@@ -126,6 +126,11 @@ BAD_CONFIGS = {
     "idx missing": (lambda t: t["workload"].update(
                         dataset={"kind": "idx", "images": "no/such.idx"}),
                     "missing 'labels' in workload.dataset"),
+    "dataset not an object": (lambda t: t["workload"].update(dataset="mnist"),
+                              "workload.dataset must be an object, not 'mnist'"),
+    "top level unknown": (lambda t: t.update(budgt=1), "unknown key 'budgt' in config"),
+    "study unknown": (lambda t: t["study"].update(batch_size=[2]),
+                      "unknown key 'batch_size' in study"),
 }
 
 
@@ -243,6 +248,12 @@ def test_lipschitz_and_ratios_pipeline(tmp_path):
     assert len(ratios) == 3               # header, columns, one non-dense row
     row = ratios[2].split(",")
     assert float(row[0]) == 0.5
+
+
+def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):
+    assert run_cli("lipschitz", "--config", SMOKE, "--out", str(tmp_path),
+                   "--stride", "0", "--steps", "40", "--eta", "0.05") == EXIT_CONFIG
+    assert "stride must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_ratios_without_theory_is_io_error(tmp_path):

@@ -1,13 +1,18 @@
 """Trial execution, classification, aggregation, and resumable studies."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import smoke_workload
-from sparselab import harness
+from sparselab import harness, nn
+from sparselab.analysis import trace_smoothness
 from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
@@ -193,6 +198,77 @@ def test_step_hook_sees_the_pruned_init_at_step_zero(sparsity):
     train, _ = resolve_dataset(wl)
     probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
     assert seen["params"].tobytes() == probe.params.tobytes()
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.7])
+def test_trace_model_is_the_pruned_init(sparsity):
+    # estimate_beta runs on trace.model, so it must be the net that
+    # prune_at_init(build_model(...)) gives, not the trained one
+    wl = smoke_workload()
+    trace = trace_smoothness(wl, StudyPoint(16, sparsity), ETA, stride=10,
+                             num_steps=30, seed=1)
+    train, _ = resolve_dataset(wl)
+    probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
+    assert trace.model.params.tobytes() == probe.params.tobytes()
+    assert trace.model.mask.tobytes() == probe.mask.tobytes()
+
+
+def test_whole_data_passes_forward_at_most_one_chunk(monkeypatch):
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 7)
+    rows = []
+    real_forward = nn.forward
+
+    def spy(model, inputs):
+        rows.append(len(inputs))
+        return real_forward(model, inputs)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    wl = smoke_workload(goal=0.0, max_steps=32)    # evaluates at steps 16 and 32
+    point = StudyPoint(4, 0.0)                     # train batches fit in a chunk
+    train, val = resolve_dataset(wl)
+    rec = run_trial(wl, point, ETA, seed=1)
+    assert len(rec.history) == 2 and len(val) > 7
+    trace_smoothness(wl, point, ETA, stride=10, num_steps=20, seed=1)
+    nn.full_gradient(build_model(wl.model_spec), train.inputs, train.labels)
+    assert max(rows) <= 7
+
+
+def blas_run(threads):
+    """Run BLAS_SCRIPT in a fresh process with OPENBLAS_NUM_THREADS=threads, or
+    with no thread variable (the library default) for threads=None."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(harness.__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join([str(src_dir), str(tests_dir)])
+    out = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    return out.stdout
+
+
+BLAS_SCRIPT = """
+import hashlib
+from dataclasses import replace
+from helpers import acceptance_workload
+from sparselab.harness import StudyPoint, run_trial
+
+wl = replace(acceptance_workload(), max_steps=96)
+for s in (0.0, 0.9):
+    digest = hashlib.sha256()
+    rec = run_trial(wl, StudyPoint(512, s), {"eta_bar": 0.05}, seed=3,
+                    step_hook=lambda model, k: digest.update(model.params.tobytes()))
+    print(rec.to_json(), digest.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # the acceptance-shaped MLP at B=512 is large enough for OpenBLAS to
+    # split its matmuls across threads under the default setting
+    single = blas_run(1)
+    assert len(single.splitlines()) == 2
+    assert blas_run(None) == single
 
 
 def test_mask_violation_during_training_names_the_trial(monkeypatch):

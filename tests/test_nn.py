@@ -190,6 +190,21 @@ def test_full_gradient_is_weighted_mean_of_disjoint_halves():
                                atol=1e-14)
 
 
+def test_sweep_in_chunks_equals_one_shot_forward(monkeypatch):
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 7)
+    model = build_model(ModelSpec("simple-mlp", (4,), (3,), 3, seed=6))
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(30, 4))
+    y = rng.integers(0, 3, size=30)
+    loss, err, grad = nn.sweep(model, x, y, gradient=True)
+    assert (loss, err) == nn.loss_and_error(nn.forward(model, x)[0], y)
+    assert nn.sweep(model, x, y)[:2] == (loss, err)
+    assert nn.sweep(model, x, y)[2] is None
+    assert np.array_equal(nn.full_gradient(model, x, y).flat, grad.flat)
+    _, _, whole = nn.batch_gradient(model, x, y)
+    np.testing.assert_allclose(grad.flat, whole.flat, atol=1e-14)
+
+
 def test_stale_cache_rejected_after_parameter_change():
     model = linear_model(3, 2)
     x = np.ones((2, 3))
