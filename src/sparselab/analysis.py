@@ -8,8 +8,9 @@
   fractional steps, with the expected gradient taken over the entire
   training set.
 * estimate_beta: single-sample gradient variance at the trace's own
-  step-0 net (`SmoothnessTrace.model`, pruned at initialization); the
-  batch-B variance bound is then beta / B.
+  step-0 net (`SmoothnessTrace.model`, pruned at initialization), from one
+  `nn.sweep` that also returns each sample's masked squared gradient norm;
+  the batch-B variance bound is then beta / B.
 * estimate_delta: twice the empirical optimality gap from a loss history.
 * ratio_report: sparse/dense decomposition delta * beta * L, which must
   multiply out to the ratio of fitted c1 constants.
@@ -192,20 +193,26 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
     train, _ = resolve_dataset(workload, data_root)
     probe = hook.model            # carries the mask the trial trained under
 
+    swept = []                    # the loss of each grad_at sweep
+
     def grad_at(w):
         probe.set_params(w)
-        return nn.full_gradient(probe, train.inputs, train.labels).flat
+        loss, _, grad = nn.sweep(probe, train.inputs, train.labels, gradient=True)
+        swept.append(loss)
+        return grad.flat
 
     entries, losses = [], []
     for k, w_k, w_k1 in hook.pairs:
         # Masked coordinates are zero in both snapshots, so the probe model
         # sees the pruned objective without re-applying the mask.
-        probe.set_params(w_k)
-        losses.append((k, nn.sweep(probe, train.inputs, train.labels)[0]))
+        swept.clear()
         try:
             entries.append((k, estimate_lipschitz(grad_at, w_k, w_k1, delta)))
-        except DegenerateStepError:
+        except DegenerateStepError:   # zero displacement, found before any gradient
             entries.append((k, None))
+            probe.set_params(w_k)
+            swept.append(nn.sweep(probe, train.inputs, train.labels)[0])
+        losses.append((k, swept[0]))  # the first gradient is taken at w_k
     probe.set_params(hook.start)
     return SmoothnessTrace(entries, losses, stride, point, dict(metaparams), probe)
 
@@ -216,15 +223,13 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
 
 def estimate_beta(model, inputs, labels) -> float:
     """Mean squared deviation of single-sample gradients from the full
-    gradient: the variance bound at batch size 1."""
-    n = len(labels)
-    mean_grad = nn.full_gradient(model, inputs, labels).flat
-    total = 0.0
-    for i in range(n):
-        _, _, g = nn.batch_gradient(model, inputs[i:i + 1], labels[i:i + 1])
-        total += float(np.sum(g.flat * g.flat))
-    # clamp: the identity E||g||^2 - ||g_mean||^2 can go epsilon-negative
-    return max(0.0, total / n - float(np.sum(mean_grad * mean_grad)))
+    gradient: the variance bound at batch size 1. One sweep gives both the
+    mean gradient and every sample's masked squared norm, and
+    beta = mean_i ||g_i||^2 - ||g_mean||^2."""
+    grad = nn.sweep(model, inputs, labels, gradient=True, example_norms=True)[2]
+    # clamp: the identity can go epsilon-negative
+    return max(0.0, float(np.mean(grad.example_sq_norms))
+               - float(np.sum(grad.flat * grad.flat)))
 
 
 def estimate_delta(loss_history) -> float:

@@ -87,6 +87,10 @@ class Model:
         """Per-layer views of params with pruned coordinates forced to zero."""
         return self._views_of(self.params * self.mask)
 
+    def mask_views(self) -> list:
+        """Per-layer views of the mask, shaped like the parameters."""
+        return self._views_of(self.mask)
+
     def set_params(self, values: np.ndarray):
         if values.shape != self.params.shape:
             raise ConfigError("parameter vector length mismatch")

@@ -55,6 +55,14 @@ class Affine:
         d_x = d_out @ W.T
         return d_x, [d_W, d_b]
 
+    def example_sq_norms(self, d_out, cache, masks):
+        """Per row i, ||m * g_i||^2 of the row's own gradient
+        g_i = (x_i outer d_i, d_i), without forming it."""
+        M_W, m_b = masks
+        x = cache
+        d_sq = d_out * d_out
+        return ((x * x) @ M_W * d_sq).sum(axis=1) + d_sq @ m_b
+
 
 class Conv3x3:
     """3x3 convolution, stride 1, zero 'same' padding, channels-last.
@@ -106,6 +114,17 @@ class Conv3x3:
                 d_padded[:, i:i + h, j:j + w, :] += d_patches[:, :, :, i, j, :]
         return d_padded[:, 1:1 + h, 1:1 + w, :], [d_K, d_b]
 
+    def example_sq_norms(self, d_out, cache, masks):
+        """Per example i, ||m * g_i||^2 of its own gradient: the kernel
+        part is a batched matmul over the example's im2col patches."""
+        M_K, m_b = masks
+        flat, (n, h, w, _) = cache
+        d = d_out.reshape(n, h * w, self.c_out)
+        d_K = flat.reshape(n, h * w, 9 * self.c_in).transpose(0, 2, 1) @ d
+        d_b = d.sum(axis=1)
+        kernel = (d_K * d_K * M_K.reshape(9 * self.c_in, self.c_out)).sum(axis=(1, 2))
+        return kernel + (d_b * d_b) @ m_b
+
 
 class Relu:
     param_shapes: list = []
@@ -126,7 +145,8 @@ class MeanPool2x2:
         n, h, w, c = x.shape
         if h % 2 or w % 2:
             raise ConfigError(f"mean-pool needs even spatial dims, got {h}x{w}")
-        y = x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+        # the order and the scaling of reshape(...).mean(axis=(2, 4)), bit for bit
+        y = (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2]) * 0.25
         return y, x.shape
 
     def backward(self, d_out, cache, params):
@@ -164,9 +184,12 @@ class Flatten:
 
 @dataclass
 class Gradient:
-    """Flat length-m gradient, in the model's parameter order."""
+    """Flat length-m gradient, in the model's parameter order, and, when
+    asked for, each example's masked squared norm ||m * g_i||^2 of its own
+    (not batch-averaged) gradient."""
 
     flat: np.ndarray
+    example_sq_norms: np.ndarray | None = None
 
 
 @dataclass
@@ -229,12 +252,15 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray) -> Gradient:
+def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
+             example_norms: bool = False) -> Gradient:
     """Mean gradient of the softmax cross-entropy over the batch.
 
     Differentiates at the masked views forward cached (the version check
     keeps them current) and zeroes the entries at masked positions: pruned
-    coordinates are outside the optimization problem entirely.
+    coordinates are outside the optimization problem entirely. With
+    example_norms, each parameterized layer also adds its share of every
+    example's masked squared gradient norm, from the same backward signal.
     """
     if cache.params_version != model.params_version:
         raise StaleCacheError("cache was built for different parameters")
@@ -246,16 +272,22 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray) 
     d_out[np.arange(len(targets)), targets] -= 1.0
     d_out /= cache.batch_size
 
+    sq_norms = np.zeros(cache.batch_size) if example_norms else None
+    masks = model.mask_views() if example_norms else [None] * len(model.layers)
     d_params = []                 # built back to front, so in parameter order
-    for layer, layer_cache, views in zip(model.layers[::-1], cache.layer_caches[::-1],
-                                         cache.param_views[::-1]):
+    for layer, layer_cache, views, mask in zip(model.layers[::-1], cache.layer_caches[::-1],
+                                               cache.param_views[::-1], masks[::-1]):
+        if example_norms and views:
+            sq_norms += layer.example_sq_norms(d_out, layer_cache, mask)
         d_out, layer_d = layer.backward(d_out, layer_cache, views)
         d_params[:0] = layer_d
     flat = np.concatenate([d.ravel() for d in d_params])
     flat *= model.mask
     if not np.all(np.isfinite(flat)):
         raise NumericOverflow("non-finite gradient")
-    return Gradient(flat)
+    if example_norms:
+        sq_norms *= cache.batch_size ** 2     # d_out carried the mean's 1/n
+    return Gradient(flat, sq_norms)
 
 
 def batch_gradient(model, inputs, targets):
@@ -266,24 +298,30 @@ def batch_gradient(model, inputs, targets):
     return loss, err, grad
 
 
-def sweep(model, inputs, labels, gradient: bool = False):
+def sweep(model, inputs, labels, gradient: bool = False, example_norms: bool = False):
     """(mean loss, error rate, mean Gradient or None) over a whole data set,
     FULL_GRADIENT_CHUNK samples per forward: the only loop over a data set.
     Loss and error are taken once over the joined logits, so they equal a
-    one-shot pass bit for bit; the gradient is the size-weighted chunk mean."""
+    one-shot pass bit for bit; the gradient is the size-weighted chunk mean.
+    With example_norms as well, the Gradient holds every example's masked
+    squared gradient norm, taken in the same backward passes."""
     n = len(labels)
     if n == 0:
         raise ConfigError("empty dataset")
-    logits, total = [], np.zeros(model.param_count)
+    logits, norms, total = [], [], np.zeros(model.param_count)
     for start in range(0, n, FULL_GRADIENT_CHUNK):
         chunk = slice(start, start + FULL_GRADIENT_CHUNK)
         out, cache = forward(model, inputs[chunk])
         logits.append(out)
         if gradient:
-            total += backward(model, cache, labels[chunk], out).flat * len(out)
+            grad = backward(model, cache, labels[chunk], out, example_norms)
+            total += grad.flat * len(out)
+            norms.append(grad.example_sq_norms)
         del cache                 # free the chunk's activations before the next
     loss, err = loss_and_error(np.concatenate(logits), labels)
-    return loss, err, Gradient(total / n) if gradient else None
+    if not gradient:
+        return loss, err, None
+    return loss, err, Gradient(total / n, np.concatenate(norms) if example_norms else None)
 
 
 def full_gradient(model, inputs, labels) -> Gradient:

@@ -1,5 +1,7 @@
 """Scaling-law fitting, smoothness estimation, and the ratio decomposition."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from sparselab.analysis import (ScalingFit, TheoryParams, convergence_bound,
                                 estimate_beta, estimate_delta,
                                 estimate_lipschitz, fit_scaling, predict_steps,
                                 ratio_report, trace_smoothness)
-from sparselab import nn
+from sparselab import analysis, nn
 from sparselab.exceptions import (ConfigError, DegenerateStepError,
                                   InsufficientDataError)
-from sparselab.harness import StudyPoint
+from sparselab.data import Dataset
+from sparselab.harness import StudyPoint, prune_at_init, resolve_dataset, run_trial
 from sparselab.models import ModelSpec, build_model
 
 
@@ -206,6 +209,33 @@ def test_trace_losses_align_with_measurement_steps():
     assert all(np.isfinite(v) for _, v in trace.losses)
 
 
+def training_losses(wl, point, metaparams, steps, num_steps, seed):
+    """The oracle: the whole-training-set loss at `steps` of the run a
+    trace makes, taken by a forward sweep in a step hook."""
+    fixed = replace(wl, goal_error=0.0, max_steps=num_steps, eval_interval=num_steps + 1)
+    train, _ = resolve_dataset(wl)
+    losses = []
+
+    def hook(model, k):
+        if k in steps:
+            losses.append((k, nn.sweep(model, train.inputs, train.labels)[0]))
+    run_trial(fixed, point, metaparams, seed, step_hook=hook)
+    return losses
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_trace_losses_are_the_training_loss_at_each_measured_step(monkeypatch, degenerate):
+    if degenerate:                # every step reads as zero displacement
+        def zero_step(grad_fn, w_k, w_k1, delta):
+            raise DegenerateStepError("zero parameter displacement")
+        monkeypatch.setattr(analysis, "estimate_lipschitz", zero_step)
+    wl = smoke_workload()
+    point, metaparams = StudyPoint(16, 0.5), {"eta_bar": 0.05}
+    trace = trace_smoothness(wl, point, metaparams, stride=100, num_steps=300, seed=1)
+    assert trace.losses == training_losses(wl, point, metaparams, (0, 100, 200), 300, seed=1)
+    assert all((v is None) == degenerate for _, v in trace.entries)
+
+
 # ---------------------------------------------------------------------------
 # estimate_beta / estimate_delta / ratio_report
 # ---------------------------------------------------------------------------
@@ -226,19 +256,49 @@ def test_beta_invariant_to_duplication():
     assert twice == pytest.approx(once, rel=1e-10)
 
 
+def per_sample_beta(model, x, y):
+    """The reference: one backward per sample, then the centred mean square."""
+    grads = np.array([nn.batch_gradient(model, x[i:i + 1], y[i:i + 1])[2].flat
+                      for i in range(len(y))])
+    return float(np.mean(np.sum((grads - grads.mean(axis=0)) ** 2, axis=1)))
+
+
 def test_beta_matches_explicit_per_sample_loop():
     model = build_model(ModelSpec("simple-mlp", (2,), (), 2, seed=3))
     rng = np.random.default_rng(5)
     x = rng.normal(size=(20, 2))
     y = rng.integers(0, 2, size=20)
-    grads = []
-    for i in range(20):
-        _, _, g = nn.batch_gradient(model, x[i:i + 1], y[i:i + 1])
-        grads.append(g.flat.copy())
-    grads = np.array(grads)
-    mean = grads.mean(axis=0)
-    oracle = float(np.mean(np.sum((grads - mean) ** 2, axis=1)))
-    assert estimate_beta(model, x, y) == pytest.approx(oracle, rel=1e-10)
+    assert estimate_beta(model, x, y) == pytest.approx(per_sample_beta(model, x, y),
+                                                       rel=1e-10)
+
+
+def pruned_at_init(spec, sparsity, n=160):
+    """A model pruned by prune_at_init on random data, and that data shaped."""
+    rng = np.random.default_rng(13)
+    train = Dataset(rng.normal(size=(n, int(np.prod(spec.input_shape)))),
+                    rng.integers(0, spec.classes, size=n), spec.classes)
+    model = prune_at_init(build_model(spec), train, sparsity, seed=2)
+    return model, train.inputs.reshape(n, *spec.input_shape), train.labels
+
+
+def test_batched_beta_matches_per_sample_loop_on_pruned_mlp(monkeypatch):
+    model, x, y = pruned_at_init(ModelSpec("simple-mlp", (6,), (12, 8), 4, seed=3), 0.9)
+    masks = model.mask_views()
+    assert not any(layer[1].any() for layer in masks if layer)   # every bias pruned
+    oracle = per_sample_beta(model, x, y)
+    assert estimate_beta(model, x, y) == pytest.approx(oracle, rel=1e-12)
+
+    # the outer-product form without the mask counts pruned coordinates
+    ones = [[np.ones_like(m) for m in layer] for layer in masks]
+    monkeypatch.setattr(model, "mask_views", lambda: ones)
+    assert estimate_beta(model, x, y) != pytest.approx(oracle, rel=1e-3)
+
+
+def test_batched_beta_matches_per_sample_loop_on_masked_cnn():
+    model, x, y = pruned_at_init(ModelSpec("cnn-lite", (8, 8, 1), (4, 6), 3, seed=4), 0.5)
+    assert model.mask.min() == 0.0
+    assert estimate_beta(model, x, y) == pytest.approx(per_sample_beta(model, x, y),
+                                                       rel=1e-12)
 
 
 def test_delta_examples():

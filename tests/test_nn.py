@@ -16,6 +16,16 @@ def linear_model(n_in, n_out, seed=0):
     return build_model(ModelSpec("simple-mlp", (n_in,), (), n_out, seed=seed))
 
 
+def test_mean_pool_equals_reshape_mean_bit_for_bit():
+    # cnn-lite's pool inputs at the shipped 28x28 and 32x32 shapes, width 8
+    rng = np.random.default_rng(12)
+    for shape in [(2, 28, 28, 8), (64, 28, 28, 8), (7, 32, 32, 8)]:
+        x = rng.normal(size=shape)
+        n, h, w, c = shape
+        y, _ = nn.MeanPool2x2().forward(x, [])
+        assert np.array_equal(y, x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4)))
+
+
 def test_identity_linear_forward():
     model = linear_model(3, 3)
     weight, bias = model.param_views()[0]
@@ -203,6 +213,26 @@ def test_sweep_in_chunks_equals_one_shot_forward(monkeypatch):
     assert np.array_equal(nn.full_gradient(model, x, y).flat, grad.flat)
     _, _, whole = nn.batch_gradient(model, x, y)
     np.testing.assert_allclose(grad.flat, whole.flat, atol=1e-14)
+
+
+def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatch):
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 7)
+    model = build_model(ModelSpec("simple-mlp", (4,), (5,), 3, seed=7))
+    bits = np.ones(model.param_count)
+    bits[::3] = 0.0
+    apply_mask(model, Mask(bits, 1 / 3))
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(30, 4))
+    y = rng.integers(0, 3, size=30)
+    grad = nn.sweep(model, x, y, gradient=True, example_norms=True)[2]
+    per_sample = [nn.batch_gradient(model, x[i:i + 1], y[i:i + 1])[2].flat
+                  for i in range(30)]
+    np.testing.assert_allclose(grad.example_sq_norms,
+                               [g @ g for g in per_sample], rtol=1e-12)
+    assert grad.example_sq_norms.sum() == pytest.approx(
+        sum(g @ g for g in per_sample), rel=1e-12)
+    assert np.array_equal(grad.flat, nn.full_gradient(model, x, y).flat)
+    assert nn.full_gradient(model, x, y).example_sq_norms is None
 
 
 def test_stale_cache_rejected_after_parameter_change():
