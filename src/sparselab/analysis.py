@@ -7,10 +7,10 @@
   estimate along the realized update direction, max over a grid of
   fractional steps, with the expected gradient taken over the entire
   training set.
-* estimate_beta: single-sample gradient variance at the trace's own
-  step-0 net (`SmoothnessTrace.model`, pruned at initialization), from one
-  `nn.sweep` that also returns each sample's masked squared gradient norm;
-  the batch-B variance bound is then beta / B.
+* estimate_beta: single-sample gradient variance, from one `nn.sweep`
+  that also returns each sample's masked squared gradient norm; the
+  batch-B variance bound is then beta / B. A trace takes it at its own
+  step-0 net (pruned at initialization) in its first sweep.
 * estimate_delta: twice the empirical optimality gap from a loss history.
 * ratio_report: sparse/dense decomposition delta * beta * L, which must
   multiply out to the ratio of fitted c1 constants.
@@ -18,13 +18,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
 from .exceptions import ConfigError, DegenerateStepError, InsufficientDataError
-from .harness import StudyPoint, Workload, resolve_dataset, run_trial
+from .harness import INFEASIBLE, StudyPoint, Workload, resolve_dataset, run_trial
 
 FIT_FORMS = ("fixed-lr", "decaying-lr")
 
@@ -53,10 +53,7 @@ class TheoryParams:
 class SmoothnessTrace:
     entries: list                 # (step, L_hat or None)
     losses: list                  # (step, full-training-set loss)
-    stride: int
-    point: StudyPoint
-    metaparams: dict = field(default_factory=dict)
-    model: object = None          # the trial's model, at its step-0 parameters
+    beta: float                   # estimate_beta at the step-0 net
 
     @property
     def average(self) -> float:
@@ -128,11 +125,12 @@ def convergence_bound(eta_bar: float, L: float, M: float, mu: float,
 # ---------------------------------------------------------------------------
 
 def estimate_lipschitz(grad_fn, w_k: np.ndarray, w_k1: np.ndarray,
-                       delta: float = 0.1) -> float:
-    """Max difference quotient of grad_fn along d = w_{k+1} - w_k.
+                       g0: np.ndarray, delta: float = 0.1) -> float:
+    """Max difference quotient of grad_fn along d = w_{k+1} - w_k, against
+    the base gradient g0 = grad_fn(w_k), which the caller has in hand.
 
     Candidates gamma run over {delta, 2*delta, ..., 1}: round(1/delta)
-    gradient evaluations beyond the base point.
+    gradient evaluations.
     """
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
@@ -143,7 +141,6 @@ def estimate_lipschitz(grad_fn, w_k: np.ndarray, w_k1: np.ndarray,
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise DegenerateStepError("zero parameter displacement")
-    g0 = np.asarray(grad_fn(w_k))
     best = 0.0
     for i in range(1, steps + 1):
         gamma = i * delta
@@ -157,15 +154,13 @@ class _SnapshotHook:
     """Captures (w_k, w_{k+1}) around every stride-th update."""
 
     def __init__(self, stride: int, limit: int):
-        self.stride = stride
-        self.limit = limit
+        self.stride, self.limit = stride, limit
         self._held = None
-        self.model = self.start = None    # the trial's model and its step-0 params
+        self.model, self.last = None, 0   # the trial's model, its last update
         self.pairs = []           # (k, w_k, w_{k+1})
 
     def __call__(self, model, k: int):
-        if k == 0:
-            self.model, self.start = model, model.params.copy()
+        self.model, self.last = model, k
         if k > 0 and (k - 1) % self.stride == 0 and (k - 1) < self.limit:
             self.pairs.append((k - 1, self._held, model.params.copy()))
         if k % self.stride == 0 and k < self.limit:
@@ -173,77 +168,75 @@ class _SnapshotHook:
 
 
 def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
-                     stride: int = 100, num_steps: int = 2000,
-                     delta: float = 0.1, seed: int = 0,
+                     stride: int = 100, num_steps: int = 2000, seed: int = 0,
                      data_root: str | None = None) -> SmoothnessTrace:
     """Train for a fixed number of steps, estimating the local Lipschitz
     constant every `stride` steps (at k = 0, stride, 2*stride, ...).
 
-    Every gradient in the estimate is the exact mean over the whole
-    training split. The trace also holds the full-training-set loss at each
-    measured step, for the optimality gap, and the trial's step-0 net.
+    Each gradient is the exact mean over the training split. One sweep at
+    each measured w_k gives the loss there, for the optimality gap, the base
+    gradient and, at k = 0, beta as `estimate_beta` gives it. A run that
+    diverges raises DegenerateStepError.
     """
     if stride < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
     fixed = replace(workload, goal_error=0.0, max_steps=num_steps,
                     eval_interval=num_steps + 1)
     hook = _SnapshotHook(stride, num_steps)
-    run_trial(fixed, point, metaparams, seed, data_root=data_root, step_hook=hook)
+    if run_trial(fixed, point, metaparams, seed, data_root=data_root,
+                 step_hook=hook).status == INFEASIBLE:
+        raise DegenerateStepError(f"training diverged at step {hook.last + 1}")
 
     train, _ = resolve_dataset(workload, data_root)
     probe = hook.model            # carries the mask the trial trained under
 
-    swept = []                    # the loss of each grad_at sweep
-
     def grad_at(w):
         probe.set_params(w)
-        loss, _, grad = nn.sweep(probe, train.inputs, train.labels, gradient=True)
-        swept.append(loss)
-        return grad.flat
+        return nn.sweep(probe, train.inputs, train.labels, gradient=True)[2].flat
 
-    entries, losses = [], []
+    entries, losses, beta = [], [], None
     for k, w_k, w_k1 in hook.pairs:
         # Masked coordinates are zero in both snapshots, so the probe model
         # sees the pruned objective without re-applying the mask.
-        swept.clear()
+        probe.set_params(w_k)
+        loss, _, g0 = nn.sweep(probe, train.inputs, train.labels, gradient=True,
+                               example_norms=(k == 0))
+        losses.append((k, loss))
+        if k == 0:
+            beta = _centred_beta(g0)
         try:
-            entries.append((k, estimate_lipschitz(grad_at, w_k, w_k1, delta)))
-        except DegenerateStepError:   # zero displacement, found before any gradient
+            entries.append((k, estimate_lipschitz(grad_at, w_k, w_k1, g0.flat)))
+        except DegenerateStepError:   # zero displacement
             entries.append((k, None))
-            probe.set_params(w_k)
-            swept.append(nn.sweep(probe, train.inputs, train.labels)[0])
-        losses.append((k, swept[0]))  # the first gradient is taken at w_k
-    probe.set_params(hook.start)
-    return SmoothnessTrace(entries, losses, stride, point, dict(metaparams), probe)
+    return SmoothnessTrace(entries, losses, beta)
 
 
 # ---------------------------------------------------------------------------
 # Variance and optimality-gap estimates
 # ---------------------------------------------------------------------------
 
-def estimate_beta(model, inputs, labels) -> float:
-    """Mean squared deviation of single-sample gradients from the full
-    gradient: the variance bound at batch size 1. One sweep gives both the
-    mean gradient and every sample's masked squared norm, and
-    beta = mean_i ||g_i||^2 - ||g_mean||^2."""
-    grad = nn.sweep(model, inputs, labels, gradient=True, example_norms=True)[2]
+def _centred_beta(grad: nn.Gradient) -> float:
+    """mean_i ||g_i||^2 - ||g_mean||^2 from a sweep's per-example norms."""
     # clamp: the identity can go epsilon-negative
     return max(0.0, float(np.mean(grad.example_sq_norms))
                - float(np.sum(grad.flat * grad.flat)))
 
 
-def estimate_delta(loss_history) -> float:
-    """Twice the empirical optimality gap: 2 * (first loss - min loss).
+def estimate_beta(model, inputs, labels) -> float:
+    """Mean squared deviation of single-sample gradients from the full
+    gradient: the variance bound at batch size 1. One sweep gives both the
+    mean gradient and every sample's masked squared norm."""
+    return _centred_beta(nn.sweep(model, inputs, labels, gradient=True,
+                                  example_norms=True)[2])
 
-    Accepts plain losses or (step, loss) pairs; the minimum achieved loss
-    stands in for the unknowable lower bound.
-    """
-    history = list(loss_history)
-    if not history:
+
+def estimate_delta(losses) -> float:
+    """Twice the empirical optimality gap, 2 * (first loss - min loss), from
+    (step, loss) pairs; the minimum achieved loss stands in for the
+    unknowable lower bound."""
+    values = [float(v) for _, v in losses]
+    if not values:
         raise ConfigError("empty loss history")
-    if isinstance(history[0], (tuple, list)) and len(history[0]) == 2:
-        history = [v for _, v in history]
-    values = [float(v) for v in history]
     return 2.0 * (values[0] - min(values))
 
 
@@ -255,17 +248,10 @@ def ratio_report(sparse: TheoryParams, dense: TheoryParams) -> dict:
     one attributes the sparse-training slowdown to these constants, with
     the smoothness term typically dominant.
     """
-    for name, value in (("delta", dense.delta), ("beta", dense.beta), ("L", dense.L)):
-        if value == 0:
+    ratios = {}
+    for name in ("delta", "beta", "L"):
+        if getattr(dense, name) == 0:
             raise ZeroDivisionError(f"dense {name} is zero; ratios are undefined")
-    delta_ratio = sparse.delta / dense.delta
-    beta_ratio = sparse.beta / dense.beta
-    l_ratio = sparse.L / dense.L
-    c1_ratio = delta_ratio * beta_ratio * l_ratio
-    return {
-        "delta_ratio": delta_ratio,
-        "beta_ratio": beta_ratio,
-        "L_ratio": l_ratio,
-        "c1_ratio": c1_ratio,
-        "slowdown_explained": c1_ratio > 1.0,
-    }
+        ratios[f"{name}_ratio"] = getattr(sparse, name) / getattr(dense, name)
+    c1_ratio = ratios["delta_ratio"] * ratios["beta_ratio"] * ratios["L_ratio"]
+    return {**ratios, "c1_ratio": c1_ratio, "slowdown_explained": c1_ratio > 1.0}

@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import analysis, report
 from .config import echo_config, load_config
-from .exceptions import ConfigError, InsufficientDataError, ResultsFormatError
-from .harness import StudyPoint, number, resolve_dataset, run_study
+from .exceptions import (ConfigError, DegenerateStepError, InsufficientDataError,
+                         ResultsFormatError)
+from .harness import StudyPoint, number, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,11 +110,10 @@ def cmd_fit(args) -> int:
         points = [(r["B"], r["K_star"]) for r in rows
                   if r["s"] == s and r["K_star"] is not None]
         try:
-            fits[s] = analysis.fit_scaling(points, form)
+            fit = fits[s] = analysis.fit_scaling(points, form)
         except InsufficientDataError:
             print(f"skip: sparsity {s:g} has fewer than 2 batch sizes with a K*")
             continue
-        fit = fits[s]
         c1_label, c2_label = fit.constant_labels()
         print(f"sparsity {s:g}: {c1_label}={fit.c1:.6g} {c2_label}={fit.c2:.6g} "
               f"residual={fit.residual:.4g}")
@@ -148,27 +148,29 @@ def cmd_lipschitz(args) -> int:
         metaparams = {"eta_bar": eta}
         if args.momentum is not None:
             metaparams["momentum_coeff"] = args.momentum
-        point = StudyPoint(args.batch_size, s)
-        trace = analysis.trace_smoothness(
-            cfg.workload, point, metaparams, stride=args.stride,
-            num_steps=args.steps, seed=cfg.seed, data_root=cfg.data_root)
+        try:
+            trace = analysis.trace_smoothness(
+                cfg.workload, StudyPoint(args.batch_size, s), metaparams,
+                stride=args.stride, num_steps=args.steps, seed=cfg.seed,
+                data_root=cfg.data_root)
+            L_avg = trace.average
+        except DegenerateStepError as e:
+            print(f"skip: sparsity {s:g}: {e}")
+            continue
         traces[s] = trace
-
-        train, _ = resolve_dataset(cfg.workload, cfg.data_root)
-        beta = analysis.estimate_beta(trace.model, train.inputs, train.labels)
         delta = analysis.estimate_delta(trace.losses)
-        theory_rows.append({"s": s, "L_avg": trace.average, "beta": beta,
+        theory_rows.append({"s": s, "L_avg": L_avg, "beta": trace.beta,
                             "delta": delta, "eta_bar": eta,
                             "batch_size": args.batch_size, "steps": args.steps,
                             "stride": args.stride})
-        print(f"sparsity {s:g}: avg L_hat={trace.average:.6g} beta={beta:.6g} "
+        print(f"sparsity {s:g}: avg L_hat={L_avg:.6g} beta={trace.beta:.6g} "
               f"delta={delta:.6g}")
 
     report.write_traces(out / report.TRACES_FILE, traces)
     report.write_table(out / report.THEORY_FILE, "theory",
                        sorted(theory_rows, key=lambda r: r["s"]))
     print(f"wrote {out / report.TRACES_FILE} and {out / report.THEORY_FILE}")
-    return EXIT_OK
+    return EXIT_OK if len(theory_rows) == len(cfg.sparsities) else EXIT_PARTIAL
 
 
 def cmd_ratios(args) -> int:

@@ -97,19 +97,14 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def synth_dataset(classes: int, dims: int, per_class: int, separation: float,
-                  seed: int = 0, label_noise: float = 0.0) -> Dataset:
+                  seed: int = 0) -> Dataset:
     """Unit-variance Gaussian blobs with seeded random mean directions.
 
     Class priors are exactly uniform by construction (per_class samples
     each); sample order is interleaved so any prefix is near-balanced.
-    label_noise flips that fraction of labels to a uniformly random other
-    class, creating an irreducible error floor and persistent gradient
-    noise without moving the blobs.
     """
     if classes < 2 or dims < 1 or per_class < 1:
         raise ConfigError("need classes >= 2, dims >= 1, per_class >= 1")
-    if not 0.0 <= label_noise < 1.0:
-        raise ConfigError("label_noise must be in [0, 1)")
     rng = np.random.default_rng(seed)
     directions = rng.normal(size=(classes, dims))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
@@ -122,8 +117,4 @@ def synth_dataset(classes: int, dims: int, per_class: int, separation: float,
         block = means[c] + rng.normal(size=(per_class, dims))
         inputs[c::classes] = block
         labels[c::classes] = c
-    if label_noise > 0.0:
-        flip = rng.random(n) < label_noise
-        shift = rng.integers(1, classes, size=int(flip.sum()))
-        labels[flip] = (labels[flip] + shift) % classes
     return Dataset(inputs, labels, classes)

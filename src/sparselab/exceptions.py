@@ -26,7 +26,7 @@ class InsufficientDataError(ValueError):
 
 
 class DegenerateStepError(ArithmeticError):
-    """Zero parameter displacement; the smoothness quotient is undefined."""
+    """Undefined smoothness: zero displacement, a diverged run or no valid sample."""
 
 
 class ResultsFormatError(ValueError):

@@ -20,6 +20,7 @@ the seed and the trial index, so resuming reuses only matching records.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import inspect
 import json
@@ -471,6 +472,23 @@ def planned_trials(cfg: StudyConfig) -> list:
     return plan
 
 
+def _pin_one_blas_thread():
+    """Pool initializer: one OpenBLAS thread per worker, since the workers
+    already share the cores between them. Tries numpy's bundled OpenBLAS,
+    then a system one in the process; a no-op if neither is found."""
+    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                     "numpy.libs", "libscipy_openblas*.so"))
+    calls = [(lib, "scipy_openblas_set_num_threads64_") for lib in bundled]
+    for lib, name in calls + [(None, "openblas_set_num_threads")]:
+        try:
+            set_threads = getattr(ctypes.CDLL(lib), name)
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
+        return
+
+
 def run_study(cfg: StudyConfig, records_path, workers: int = 1,
               progress=None) -> StudyTable:
     """Run (or resume) a full study; returns the aggregated table.
@@ -484,7 +502,8 @@ def run_study(cfg: StudyConfig, records_path, workers: int = 1,
             for point, i, mp, seed, key in plan if key not in existing]
 
     parallel = workers > 1 and len(todo) > 1
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with (ProcessPoolExecutor(max_workers=workers, initializer=_pin_one_blas_thread)
+          if parallel else nullcontext()) as pool:
         if parallel:
             futures = [pool.submit(run_trial, *t) for t in todo]
             done = (f.result() for f in as_completed(futures))

@@ -132,10 +132,12 @@ def test_lipschitz_candidate_count_and_affine_case():
         calls.append(w.copy())
         return np.array([3.0, -1.0])      # constant gradient: affine f
 
-    got = estimate_lipschitz(grad_fn, np.zeros(2), np.array([1.0, 1.0]), 0.1)
+    g0 = grad_fn(np.zeros(2))
+    calls.clear()
+    got = estimate_lipschitz(grad_fn, np.zeros(2), np.array([1.0, 1.0]), g0, 0.1)
     assert got == 0.0
-    assert len(calls) == 11               # base point + 10 candidates
-    gammas = [float(c[0]) for c in calls[1:]]
+    assert len(calls) == 10               # the candidates; the base gradient is given
+    gammas = [float(c[0]) for c in calls]
     assert gammas == pytest.approx([0.1 * i for i in range(1, 11)])
 
 
@@ -148,7 +150,8 @@ def test_lipschitz_on_diagonal_quadratic_along_second_axis():
     w_k = np.array([0.7, -0.2])
     w_k1 = w_k + np.array([0.0, 1.0])
     # every quotient is ||A(gamma d)|| / ||gamma d|| = 3 exactly
-    assert estimate_lipschitz(grad_fn, w_k, w_k1) == pytest.approx(3.0, rel=1e-12)
+    got = estimate_lipschitz(grad_fn, w_k, w_k1, grad_fn(w_k))
+    assert got == pytest.approx(3.0, rel=1e-12)
 
 
 def test_lipschitz_never_exceeds_top_eigenvalue_on_quadratics():
@@ -163,21 +166,21 @@ def test_lipschitz_never_exceeds_top_eigenvalue_on_quadratics():
 
         w_k = rng.normal(size=6)
         d = rng.normal(size=6)
-        got = estimate_lipschitz(grad_fn, w_k, w_k + d)
+        got = estimate_lipschitz(grad_fn, w_k, w_k + d, grad_fn(w_k))
         assert got <= lams[-1] * (1 + 1e-9)
         top = q[:, -1]
-        along_top = estimate_lipschitz(grad_fn, w_k, w_k + top)
+        along_top = estimate_lipschitz(grad_fn, w_k, w_k + top, grad_fn(w_k))
         assert along_top == pytest.approx(lams[-1], rel=1e-9)
 
 
 def test_lipschitz_rejects_zero_displacement_and_bad_delta():
     grad_fn = lambda w: w
     with pytest.raises(DegenerateStepError):
-        estimate_lipschitz(grad_fn, np.ones(3), np.ones(3))
+        estimate_lipschitz(grad_fn, np.ones(3), np.ones(3), np.ones(3))
     with pytest.raises(ConfigError):
-        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), delta=0.3)
+        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), np.zeros(3), delta=0.3)
     with pytest.raises(ConfigError):
-        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), delta=1.5)
+        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), np.zeros(3), delta=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,7 @@ def training_losses(wl, point, metaparams, steps, num_steps, seed):
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_trace_losses_are_the_training_loss_at_each_measured_step(monkeypatch, degenerate):
     if degenerate:                # every step reads as zero displacement
-        def zero_step(grad_fn, w_k, w_k1, delta):
+        def zero_step(grad_fn, w_k, w_k1, g0):
             raise DegenerateStepError("zero parameter displacement")
         monkeypatch.setattr(analysis, "estimate_lipschitz", zero_step)
     wl = smoke_workload()
@@ -302,8 +305,8 @@ def test_batched_beta_matches_per_sample_loop_on_masked_cnn():
 
 
 def test_delta_examples():
-    assert estimate_delta([2.0, 2.0, 2.0]) == 0.0
-    assert estimate_delta([2.3, 1.5, 0.8, 0.01]) == pytest.approx(4.58)
+    assert estimate_delta([(0, 2.0), (1, 2.0), (2, 2.0)]) == 0.0
+    assert estimate_delta([(0, 2.3), (1, 1.5), (2, 0.8), (3, 0.01)]) == pytest.approx(4.58)
     assert estimate_delta([(0, 2.3), (100, 0.5), (200, 0.01)]) == pytest.approx(4.58)
     with pytest.raises(ConfigError):
         estimate_delta([])

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from sparselab import analysis
 from sparselab.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL,
                            _parse_grid_override, main)
 from sparselab.config import load_config
-from sparselab.exceptions import ConfigError
+from sparselab.exceptions import ConfigError, DegenerateStepError
 from sparselab.harness import StudyConfig
+from sparselab.report import read_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.json")
@@ -123,6 +125,8 @@ BAD_CONFIGS = {
                       "missing 'dims' in workload.dataset"),
     "synth non-numeric": (lambda t: t["workload"]["dataset"].update(separation="far"),
                           "workload.dataset.separation must be numeric"),
+    "synth label_noise": (lambda t: t["workload"]["dataset"].update(label_noise=0.1),
+                          "unknown key 'label_noise' in workload.dataset"),
     "idx missing": (lambda t: t["workload"].update(
                         dataset={"kind": "idx", "images": "no/such.idx"}),
                     "missing 'labels' in workload.dataset"),
@@ -248,6 +252,34 @@ def test_lipschitz_and_ratios_pipeline(tmp_path):
     assert len(ratios) == 3               # header, columns, one non-dense row
     row = ratios[2].split(",")
     assert float(row[0]) == 0.5
+
+
+def test_lipschitz_skips_a_diverged_sparsity(tmp_path, capsys):
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "summary.csv").write_text(
+        "# sparselab-summary v1\n"
+        "B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible\n"
+        "16,0.0,100,0.05,,3,0,0\n"
+        "16,0.5,100,1000000.0,,3,0,0\n")
+    path = edited_smoke(tmp_path, lambda t: t["study"].update(sparsities=[0.0, 0.5]))
+    assert run_cli("lipschitz", "--config", path, "--out", str(out),
+                   "--stride", "50", "--steps", "200") == EXIT_PARTIAL
+    assert "skip: sparsity 0.5: training diverged at step" in capsys.readouterr().out
+    assert [r["s"] for r in read_table(out / "theory.csv", "theory")] == [0.0]
+    assert {r["s"] for r in read_table(out / "traces.csv", "traces")} == {0.0}
+
+
+def test_lipschitz_skips_a_sparsity_without_a_valid_estimate(tmp_path, capsys,
+                                                              monkeypatch):
+    def zero_step(grad_fn, w_k, w_k1, g0):
+        raise DegenerateStepError("zero parameter displacement")
+    monkeypatch.setattr(analysis, "estimate_lipschitz", zero_step)
+    assert run_cli("lipschitz", "--config", SMOKE, "--out", str(tmp_path),
+                   "--stride", "50", "--steps", "100", "--eta", "0.05") == EXIT_PARTIAL
+    assert ("skip: sparsity 0: no valid smoothness samples in trace"
+            in capsys.readouterr().out)
+    assert read_table(tmp_path / "theory.csv", "theory") == []
 
 
 def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):

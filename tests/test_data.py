@@ -114,20 +114,9 @@ def test_synth_separation_moves_class_means_apart():
     assert mean_gap(far) > 10 * mean_gap(near)
 
 
-def test_synth_label_noise_flips_expected_fraction():
-    clean = synth_dataset(classes=4, dims=3, per_class=2500, separation=1.0, seed=2)
-    noisy = synth_dataset(classes=4, dims=3, per_class=2500, separation=1.0, seed=2,
-                          label_noise=0.2)
-    assert np.array_equal(clean.inputs, noisy.inputs)
-    flipped = (clean.labels != noisy.labels).mean()
-    assert 0.15 < flipped < 0.25
-
-
 def test_synth_validation():
     with pytest.raises(ConfigError):
         synth_dataset(classes=1, dims=3, per_class=5, separation=1.0)
-    with pytest.raises(ConfigError):
-        synth_dataset(classes=2, dims=3, per_class=5, separation=1.0, label_noise=1.0)
 
 
 def test_split_validation_is_fixed_and_seeded():

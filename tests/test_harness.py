@@ -1,5 +1,7 @@
 """Trial execution, classification, aggregation, and resumable studies."""
 
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 from helpers import smoke_workload
 from sparselab import harness, nn
-from sparselab.analysis import trace_smoothness
+from sparselab.analysis import estimate_beta, trace_smoothness
 from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
@@ -201,16 +203,15 @@ def test_step_hook_sees_the_pruned_init_at_step_zero(sparsity):
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.7])
-def test_trace_model_is_the_pruned_init(sparsity):
-    # estimate_beta runs on trace.model, so it must be the net that
-    # prune_at_init(build_model(...)) gives, not the trained one
+def test_trace_beta_is_estimate_beta_at_the_pruned_init(sparsity):
+    # the trace's step-0 sweep gives beta at the net that
+    # prune_at_init(build_model(...)) gives, not at the trained one
     wl = smoke_workload()
     trace = trace_smoothness(wl, StudyPoint(16, sparsity), ETA, stride=10,
                              num_steps=30, seed=1)
     train, _ = resolve_dataset(wl)
     probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
-    assert trace.model.params.tobytes() == probe.params.tobytes()
-    assert trace.model.mask.tobytes() == probe.mask.tobytes()
+    assert trace.beta == estimate_beta(probe, train.inputs, train.labels)
 
 
 def test_whole_data_passes_forward_at_most_one_chunk(monkeypatch):
@@ -451,6 +452,45 @@ def test_run_study_parallel_matches_serial(tmp_path):
         assert c1 == c2
     assert (load_records(tmp_path / "serial.jsonl")
             == load_records(tmp_path / "parallel.jsonl"))
+
+
+def bundled_openblas():
+    """numpy's bundled OpenBLAS, or None where numpy has none."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            lib.scipy_openblas_get_num_threads64_.argtypes = ()
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = (ctypes.c_int,)
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def blas_threads():
+    return bundled_openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(tmp_path, monkeypatch):
+    lib = bundled_openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS to ask")
+    seen = []
+
+    class SpyPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(self.submit(blas_threads).result())
+
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)     # forked workers inherit this
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    try:
+        run_study(smoke_config(budget=2), tmp_path / "records.jsonl", workers=2)
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    assert seen == [1]
 
 
 def test_summary_roundtrip(tmp_path):

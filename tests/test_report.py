@@ -5,7 +5,7 @@ import pytest
 
 from sparselab.analysis import ScalingFit, SmoothnessTrace
 from sparselab.exceptions import ResultsFormatError
-from sparselab.harness import StudyCell, StudyPoint, StudyTable
+from sparselab.harness import StudyCell, StudyTable
 from sparselab.report import (read_fits, read_table, write_fits, write_summary,
                               write_table, write_traces)
 
@@ -34,9 +34,8 @@ B,s,K_star,K_hat,form,c1,c2,residual
 3,0.9,124,123.5833,decaying-lr,333.25,12.5,1.5e-07
 """
 
-TRACES = {0.5: SmoothnessTrace([(0, 6.5561023), (40, None)], [], 40, StudyPoint(8, 0.5)),
-          0.0: SmoothnessTrace([(0, 8.6100749), (40, 0.2663122)], [], 40,
-                               StudyPoint(8, 0.0))}
+TRACES = {0.5: SmoothnessTrace([(0, 6.5561023), (40, None)], [], 0.0),
+          0.0: SmoothnessTrace([(0, 8.6100749), (40, 0.2663122)], [], 0.0)}
 
 TRACES_TEXT = """\
 # sparselab-traces v1
