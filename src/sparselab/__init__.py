@@ -9,7 +9,7 @@ from .analysis import (ScalingFit, SmoothnessTrace, TheoryParams,
                        trace_smoothness)
 from .data import Dataset, load_idx, split_validation, synth_dataset
 from .harness import (StudyConfig, StudyPoint, StudyTable, TrialRecord,
-                      Workload, run_study, run_trial, steps_to_result)
+                      Workload, run_study, run_trial)
 from .models import Model, ModelSpec, build_model
 from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, schedule_eta, step
 from .prune import Mask, apply_mask, connection_sensitivity, topk_mask

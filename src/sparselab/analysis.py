@@ -124,26 +124,21 @@ def convergence_bound(eta_bar: float, L: float, M: float, mu: float,
 # Local Lipschitz estimation
 # ---------------------------------------------------------------------------
 
-def estimate_lipschitz(grad_fn, w_k: np.ndarray, w_k1: np.ndarray,
-                       g0: np.ndarray, delta: float = 0.1) -> float:
-    """Max difference quotient of grad_fn along d = w_{k+1} - w_k, against
-    the base gradient g0 = grad_fn(w_k), which the caller has in hand.
+# gamma = 0.1, 0.2, ..., 1; i * 0.1, not i / 10 (they differ at i = 3)
+LIPSCHITZ_GAMMAS = tuple(i * 0.1 for i in range(1, 11))
 
-    Candidates gamma run over {delta, 2*delta, ..., 1}: round(1/delta)
-    gradient evaluations.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
-    steps = round(1.0 / delta)
-    if abs(steps * delta - 1.0) > 1e-9:
-        raise ConfigError("1/delta must be an integer")
+
+def estimate_lipschitz(grad_fn, w_k: np.ndarray, w_k1: np.ndarray,
+                       g0: np.ndarray) -> float:
+    """Max difference quotient of grad_fn along d = w_{k+1} - w_k, against
+    the base gradient g0 = grad_fn(w_k), which the caller has in hand, over
+    the step fractions LIPSCHITZ_GAMMAS: 10 gradient evaluations."""
     d = w_k1 - w_k
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise DegenerateStepError("zero parameter displacement")
     best = 0.0
-    for i in range(1, steps + 1):
-        gamma = i * delta
+    for gamma in LIPSCHITZ_GAMMAS:
         g = np.asarray(grad_fn(w_k + gamma * d))
         quotient = float(np.linalg.norm(g - g0)) / (gamma * d_norm)
         best = max(best, quotient)
@@ -168,10 +163,10 @@ class _SnapshotHook:
 
 
 def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
-                     stride: int = 100, num_steps: int = 2000, seed: int = 0,
+                     stride: int, num_steps: int, seed: int = 0,
                      data_root: str | None = None) -> SmoothnessTrace:
-    """Train for a fixed number of steps, estimating the local Lipschitz
-    constant every `stride` steps (at k = 0, stride, 2*stride, ...).
+    """Train `num_steps` steps under `metaparams`, estimating the local
+    Lipschitz constant every `stride` steps (at k = 0, stride, ...).
 
     Each gradient is the exact mean over the training split. One sweep at
     each measured w_k gives the loss there, for the optimality gap, the base

@@ -21,7 +21,7 @@ from . import analysis, report
 from .config import echo_config, load_config
 from .exceptions import (ConfigError, DegenerateStepError, InsufficientDataError,
                          ResultsFormatError)
-from .harness import StudyPoint, number, run_study
+from .harness import StudyPoint, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,40 +31,8 @@ EXIT_IO = 4
 FORM_NAMES = {"fixed": "fixed-lr", "decay": "decaying-lr"}
 
 
-def _parse_grid_override(text: str):
-    """'B=2,4,8;s=0,0.9' -> (batch sizes, sparsities); either part optional."""
-    batches, sparsities = None, None
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, values = part.partition("=")
-        if key == "B":
-            batches = [number(int, v, "--grid-override B") for v in values.split(",")]
-        elif key == "s":
-            sparsities = [number(float, v, "--grid-override s") for v in values.split(",")]
-        else:
-            raise ConfigError(f"bad grid override key {key!r} (use B= and s=)")
-    return batches, sparsities
-
-
-def _load(args):
-    cfg = load_config(args.config)
-    if getattr(args, "budget", None) is not None:
-        cfg.budget = args.budget
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "grid_override", None):
-        batches, sparsities = _parse_grid_override(args.grid_override)
-        if batches is not None:
-            cfg.batch_sizes = batches
-        if sparsities is not None:
-            cfg.sparsities = sparsities
-    return cfg
-
-
 def cmd_run(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(echo_config(cfg))
@@ -97,7 +65,7 @@ def cmd_run(args) -> int:
 
 def cmd_fit(args) -> int:
     out = Path(args.out)
-    summary_path = Path(args.summary) if args.summary else out / report.SUMMARY_FILE
+    summary_path = out / report.SUMMARY_FILE
     if not summary_path.exists():
         print(f"no summary at {summary_path}; run `sparselab run` first",
               file=sys.stderr)
@@ -124,19 +92,24 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _trace_eta(args, rows, sparsity):
-    if args.eta is not None:
-        return args.eta
-    for r in rows:
-        if r["s"] == sparsity and r["B"] == args.batch_size and r["eta_star"] is not None:
-            return r["eta_star"]
-    raise ConfigError(
-        f"no --eta given and no best learning rate in the summary for "
-        f"B={args.batch_size}, s={sparsity}")
+def _trace_metaparams(args, rows, workload, sparsity):
+    """eta_bar and momentum_coeff for a trace: each from its flag if given,
+    else from the summary's best row for (B, s). Plain SGD needs no momentum."""
+    best = next((r for r in rows
+                 if r["s"] == sparsity and r["B"] == args.batch_size), {})
+    eta = args.eta if args.eta is not None else best.get("eta_star")
+    momentum = args.momentum if args.momentum is not None else best.get("momentum_star")
+    where = f"in the summary for B={args.batch_size}, s={sparsity}"
+    if eta is None:
+        raise ConfigError(f"no --eta given and no best learning rate {where}")
+    if momentum is None and workload.algorithm in ("momentum", "nesterov"):
+        raise ConfigError(f"{workload.algorithm}: no --momentum given and no best "
+                          f"momentum_coeff {where}")
+    return {"eta_bar": eta, **({} if momentum is None else {"momentum_coeff": momentum})}
 
 
 def cmd_lipschitz(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary_path = out / report.SUMMARY_FILE
@@ -144,10 +117,7 @@ def cmd_lipschitz(args) -> int:
 
     traces, theory_rows = {}, []
     for s in cfg.sparsities:
-        eta = _trace_eta(args, rows, s)
-        metaparams = {"eta_bar": eta}
-        if args.momentum is not None:
-            metaparams["momentum_coeff"] = args.momentum
+        metaparams = _trace_metaparams(args, rows, cfg.workload, s)
         try:
             trace = analysis.trace_smoothness(
                 cfg.workload, StudyPoint(args.batch_size, s), metaparams,
@@ -160,7 +130,7 @@ def cmd_lipschitz(args) -> int:
         traces[s] = trace
         delta = analysis.estimate_delta(trace.losses)
         theory_rows.append({"s": s, "L_avg": L_avg, "beta": trace.beta,
-                            "delta": delta, "eta_bar": eta,
+                            "delta": delta, "eta_bar": metaparams["eta_bar"],
                             "batch_size": args.batch_size, "steps": args.steps,
                             "stride": args.stride})
         print(f"sparsity {s:g}: avg L_hat={L_avg:.6g} beta={trace.beta:.6g} "
@@ -235,16 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run or resume a study")
     common(p_run)
     p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--budget", type=int, default=None)
-    p_run.add_argument("--grid-override", default=None,
-                       help="e.g. 'B=2,4,8;s=0,0.9'")
     p_run.add_argument("--verbose", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit the scaling law to a summary")
     common(p_fit, config_required=False)
-    p_fit.add_argument("--summary", default=None, help="summary.csv path")
     p_fit.add_argument("--form", choices=sorted(FORM_NAMES), default="fixed")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -256,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lip.add_argument("--eta", type=float, default=None,
                        help="learning rate for the trace runs "
                             "(default: best from the summary)")
-    p_lip.add_argument("--momentum", type=float, default=None)
-    p_lip.add_argument("--seed", type=int, default=None)
-    p_lip.add_argument("--grid-override", default=None)
+    p_lip.add_argument("--momentum", type=float, default=None,
+                       help="momentum coefficient for momentum and Nesterov "
+                            "workloads (default: best from the summary)")
     p_lip.set_defaults(func=cmd_lipschitz)
 
     p_ratio = sub.add_parser("ratios", help="sparse/dense c1 decomposition")

@@ -147,6 +147,16 @@ class StudyConfig:
     search_spaces: list
     data_root: str | None = None
 
+    def __post_init__(self):
+        """A study runs at least one trial, and each study point once."""
+        if self.budget < 1:
+            raise ConfigError(f"budget must be >= 1, got {self.budget}")
+        for name in ("batch_sizes", "sparsities"):
+            values = getattr(self, name)      # 8 == 8.0: a repeat in any type
+            if not values or len(set(values)) < len(values):
+                raise ConfigError(f"study.{name} must be non-empty and distinct, "
+                                  f"got {values}")
+
 
 # ---------------------------------------------------------------------------
 # Config blocks and dataset resolution
@@ -379,12 +389,6 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def steps_to_result(records: list) -> int | None:
-    """Lowest steps_to_goal over complete records; None if none complete."""
-    best = best_trial(records)
-    return None if best is None else best.steps_to_goal
-
-
 def best_trial(records: list) -> TrialRecord | None:
     """The fastest complete trial; ties keep the lowest trial index, then key."""
     complete = [r for r in records if r.status == COMPLETE]
@@ -496,6 +500,8 @@ def run_study(cfg: StudyConfig, records_path, workers: int = 1,
     Planned trials whose key is in the records file are skipped, so
     reruns after interruption execute only the missing work.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     existing = load_records(records_path)
     plan = planned_trials(cfg)
     todo = [(cfg.workload, point, mp, seed, i, cfg.data_root)

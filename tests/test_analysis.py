@@ -134,7 +134,7 @@ def test_lipschitz_candidate_count_and_affine_case():
 
     g0 = grad_fn(np.zeros(2))
     calls.clear()
-    got = estimate_lipschitz(grad_fn, np.zeros(2), np.array([1.0, 1.0]), g0, 0.1)
+    got = estimate_lipschitz(grad_fn, np.zeros(2), np.array([1.0, 1.0]), g0)
     assert got == 0.0
     assert len(calls) == 10               # the candidates; the base gradient is given
     gammas = [float(c[0]) for c in calls]
@@ -173,14 +173,10 @@ def test_lipschitz_never_exceeds_top_eigenvalue_on_quadratics():
         assert along_top == pytest.approx(lams[-1], rel=1e-9)
 
 
-def test_lipschitz_rejects_zero_displacement_and_bad_delta():
+def test_lipschitz_rejects_zero_displacement():
     grad_fn = lambda w: w
     with pytest.raises(DegenerateStepError):
         estimate_lipschitz(grad_fn, np.ones(3), np.ones(3), np.ones(3))
-    with pytest.raises(ConfigError):
-        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), np.zeros(3), delta=0.3)
-    with pytest.raises(ConfigError):
-        estimate_lipschitz(grad_fn, np.zeros(3), np.ones(3), np.zeros(3), delta=1.5)
 
 
 # ---------------------------------------------------------------------------

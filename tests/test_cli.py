@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 from sparselab import analysis
-from sparselab.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL,
-                           _parse_grid_override, main)
+from sparselab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL, main
 from sparselab.config import load_config
-from sparselab.exceptions import ConfigError, DegenerateStepError
+from sparselab.exceptions import DegenerateStepError
 from sparselab.harness import StudyConfig
 from sparselab.report import read_table
 
@@ -65,13 +64,14 @@ def test_rerun_runs_again_exactly_the_trials_whose_config_changed(tmp_path):
     assert trials_run() == 0
 
 
-def test_budget_and_grid_overrides(tmp_path):
-    assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path),
-                   "--budget", "2", "--grid-override", "B=8;s=0") == EXIT_OK
+def test_including_config_varies_the_study(tmp_path):
+    variant = tmp_path / "variant.json"
+    variant.write_text(json.dumps({"include": SMOKE, "budget": 2,
+                                   "study": {"batch_sizes": [8], "sparsities": [0]}}))
+    assert run_cli("run", "--config", str(variant), "--out", str(tmp_path)) == EXIT_OK
     lines = (tmp_path / "records.jsonl").read_text().splitlines()
     assert len(lines) == 2                # one point, budget 2
-    payload = json.loads(lines[0])
-    assert payload["batch_size"] == 8
+    assert all(json.loads(line)["batch_size"] == 8 for line in lines)
 
 
 def test_partial_results_exit_code(tmp_path):
@@ -135,6 +135,11 @@ BAD_CONFIGS = {
     "top level unknown": (lambda t: t.update(budgt=1), "unknown key 'budgt' in config"),
     "study unknown": (lambda t: t["study"].update(batch_size=[2]),
                       "unknown key 'batch_size' in study"),
+    "budget zero": (lambda t: t.update(budget=0), "budget must be >= 1, got 0"),
+    "study empty": (lambda t: t["study"].update(sparsities=[]),
+                    "study.sparsities must be non-empty and distinct, got []"),
+    "study duplicate": (lambda t: t["study"].update(batch_sizes=[8, 8]),
+                        "study.batch_sizes must be non-empty and distinct, got [8, 8]"),
 }
 
 
@@ -282,6 +287,33 @@ def test_lipschitz_skips_a_sparsity_without_a_valid_estimate(tmp_path, capsys,
     assert read_table(tmp_path / "theory.csv", "theory") == []
 
 
+def test_lipschitz_traces_with_the_summary_momentum(tmp_path, capsys, monkeypatch):
+    path = edited_smoke(tmp_path, lambda t: (
+        t["workload"].update(algorithm="momentum"),
+        t["study"].update(batch_sizes=[8]),
+        t["search_spaces"].append({"name": "momentum_coeff", "scale": "one-minus-log10",
+                                   "low": 0.5, "high": 0.99})))
+    out = tmp_path / "results"
+    assert run_cli("run", "--config", path, "--out", str(out)) == EXIT_OK
+    [best] = read_table(out / "summary.csv", "summary")
+    assert best["momentum_star"] > 0
+
+    traced = []
+
+    def spy(workload, point, metaparams, **kwargs):
+        traced.append(metaparams)
+        raise DegenerateStepError("not traced")
+    monkeypatch.setattr(analysis, "trace_smoothness", spy)
+    assert run_cli("lipschitz", "--config", path, "--out", str(out),
+                   "--batch-size", "8") == EXIT_PARTIAL
+    assert traced == [{"eta_bar": best["eta_star"], "momentum_coeff": best["momentum_star"]}]
+
+    assert run_cli("lipschitz", "--config", path, "--out", str(tmp_path / "empty"),
+                   "--eta", "0.05") == EXIT_CONFIG
+    assert "momentum: no --momentum given" in capsys.readouterr().err
+    assert len(traced) == 1
+
+
 def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):
     assert run_cli("lipschitz", "--config", SMOKE, "--out", str(tmp_path),
                    "--stride", "0", "--steps", "40", "--eta", "0.05") == EXIT_CONFIG
@@ -308,16 +340,17 @@ def test_report_renders_all_sections_after_pipeline(tmp_path, capsys):
     assert "Missing inputs: ratios.csv" in text
 
 
-def test_grid_override_parser(tmp_path, capsys):
-    assert _parse_grid_override("B=2,4,8;s=0,0.9") == ([2, 4, 8], [0.0, 0.9])
-    assert _parse_grid_override("B=16") == ([16], None)
-    assert _parse_grid_override("s=0.5") == (None, [0.5])
-    for bad in ("q=1", "B=", "B=2,x", "s=abc"):
-        with pytest.raises(ConfigError):
-            _parse_grid_override(bad)
-    assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path),
-                   "--grid-override", "B=2,x") == EXIT_CONFIG
-    assert "--grid-override B must be numeric, not 'x'" in capsys.readouterr().err
+def test_study_is_stated_only_by_the_config_file(capsys):
+    for argv in (["run", "--config", SMOKE, "--seed", "2"],
+                 ["run", "--config", SMOKE, "--budget", "2"],
+                 ["run", "--config", SMOKE, "--grid-override", "B=8"],
+                 ["lipschitz", "--config", SMOKE, "--seed", "2"],
+                 ["lipschitz", "--config", SMOKE, "--grid-override", "s=0"],
+                 ["fit", "--summary", "summary.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_normalized_curve_starts_at_one(tmp_path):

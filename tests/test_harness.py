@@ -22,7 +22,7 @@ from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
                                TrialRecord, Workload, aggregate, best_trial,
                                load_records, planned_trials, prune_at_init,
                                resolve_dataset, run_study, run_trial,
-                               steps_to_result, trial_key, _shaped)
+                               trial_key, _shaped)
 from sparselab.models import ModelSpec, build_model
 from sparselab.optim import ScheduleSpec
 from sparselab.prune import connection_sensitivity, topk_mask
@@ -310,20 +310,20 @@ def test_steps_to_result_takes_minimum():
         return TrialRecord(key, 8, 0.0, 0, ETA, 0, status, steps, [], 1.0)
     records = [rec(COMPLETE, 320, "b"), rec(COMPLETE, 160, "a"),
                rec(INCOMPLETE, None, "c")]
-    assert steps_to_result(records) == 160
+    assert best_trial(records).steps_to_goal == 160
     assert best_trial(records).trial_key == "a"
 
 
 def test_steps_to_result_absent_when_none_complete():
     records = [TrialRecord("x", 8, 0.0, 0, ETA, 0, INCOMPLETE, None, [], 1.0)]
-    assert steps_to_result(records) is None
+    assert best_trial(records) is None
 
 
 def test_steps_to_result_tie_keeps_smallest_trial_key():
     def rec(key):
         return TrialRecord(key, 8, 0.0, 0, ETA, 0, COMPLETE, 480, [], 1.0)
     assert best_trial([rec("zz"), rec("aa"), rec("mm")]).trial_key == "aa"
-    assert steps_to_result([rec("zz")]) == 480 and 480 % 16 == 0
+    assert best_trial([rec("zz")]).steps_to_goal == 480 and 480 % 16 == 0
 
 
 def test_steps_to_result_tie_keeps_lowest_trial_index():
@@ -384,6 +384,17 @@ def smoke_config(goal=0.25, budget=3):
         seed=1,
         search_spaces=[SearchSpace("eta_bar", "log10", 0.02, 0.3)],
     )
+
+
+def test_study_without_trials_or_with_a_point_twice_is_a_config_error(tmp_path):
+    cfg = smoke_config()
+    for edit in ({"budget": 0}, {"sparsities": []}, {"batch_sizes": [8, 8.0]},
+                 {"sparsities": [0, 0.0]}):
+        with pytest.raises(ConfigError):
+            replace(cfg, **edit)
+    with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+        run_study(cfg, tmp_path / "records.jsonl", workers=0)
+    assert not (tmp_path / "records.jsonl").exists()
 
 
 def test_run_study_single_trial_trivial_goal(tmp_path):
