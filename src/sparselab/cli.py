@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import analysis, report
 from .config import echo_config, load_config
-from .exceptions import (ConfigError, DegenerateStepError, InsufficientDataError,
-                         ResultsFormatError)
+from .exceptions import (ConfigError, DegenerateStepError, IdxFormatError,
+                         InsufficientDataError, ResultsFormatError)
 from .harness import StudyPoint, run_study
 
 EXIT_OK = 0
@@ -167,7 +167,11 @@ def cmd_ratios(args) -> int:
             continue
         sparse_params = analysis.TheoryParams(
             L=r["L_avg"], beta=r["beta"], delta=r["delta"])
-        ratios = analysis.ratio_report(sparse_params, dense_params)
+        try:
+            ratios = analysis.ratio_report(sparse_params, dense_params)
+        except ZeroDivisionError as e:
+            print(e, file=sys.stderr)
+            return EXIT_PARTIAL
         fitted = None
         if 0.0 in fits and r["s"] in fits and fits[0.0].c1 > 0:
             fitted = fits[r["s"]].c1 / fits[0.0].c1
@@ -247,7 +251,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, ResultsFormatError) as e:
+    except (OSError, IdxFormatError, ResultsFormatError) as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 from .exceptions import ConfigError
@@ -110,22 +111,5 @@ def _study_config(workload, study, search_spaces, schema_version=CONFIG_SCHEMA,
 
 
 def echo_config(cfg: StudyConfig) -> str:
-    """One line per protocol constant, for logs and the config-echo check."""
-    w = cfg.workload
-    lines = [
-        f"workload: {w.id}",
-        f"dataset: {w.dataset.get('kind')}",
-        f"model: {w.model_spec.arch} widths={list(w.model_spec.widths)} "
-        f"input={list(w.model_spec.input_shape)} classes={w.model_spec.classes}",
-        f"optimizer: {w.algorithm} schedule={w.schedule.kind}",
-        f"goal_error: {w.goal_error}",
-        f"eval_interval: {w.eval_interval}",
-        f"max_steps: {w.max_steps}",
-        f"budget: {cfg.budget}",
-        f"batch_sizes: {cfg.batch_sizes}",
-        f"sparsities: {cfg.sparsities}",
-        f"seed: {cfg.seed}",
-    ]
-    for s in cfg.search_spaces:
-        lines.append(f"search: {s.name} {s.scale} [{s.low}, {s.high}]")
-    return "\n".join(lines)
+    """Every field of the loaded study as canonical JSON, for logs."""
+    return json.dumps(asdict(cfg), sort_keys=True)

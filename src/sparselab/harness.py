@@ -74,7 +74,6 @@ class Workload:
     goal_error: float
     eval_interval: int
     max_steps: int
-    val_fraction: float = 0.1
     data_seed: int = 0
 
     def __post_init__(self):
@@ -199,8 +198,8 @@ def _idx_files(data_root: str | None, images: str, labels: str) -> Dataset:
     for p in paths:
         if not os.path.exists(p):
             raise FileNotFoundError(
-                f"dataset file not found: {p} (set the data root via "
-                f"--config paths, or the SPARSELAB_DATA_ROOT variable)")
+                f"dataset file not found: {p} (set the data root with the "
+                f"config's top-level data_root key or SPARSELAB_DATA_ROOT)")
     return load_idx(*paths)
 
 
@@ -213,23 +212,23 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
     error stays a clean measure while gradients carry extra variance.
     """
     key = (json.dumps(workload.dataset, sort_keys=True), workload.data_seed,
-           workload.val_fraction, data_root or "",
-           workload.model_spec.input_shape)
+           data_root or "", workload.model_spec.input_shape)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     cfg = dict(workload.dataset)
     kind = cfg.pop("kind", None)
     train_noise = number(float, cfg.pop("train_label_noise", 0.0),
                          "workload.dataset.train_label_noise")
+    if not 0.0 <= train_noise < 1.0:            # NaN fails too
+        raise ConfigError(f"workload.dataset.train_label_noise must be in [0, 1), "
+                          f"got {train_noise}")
     loaders = {"synth": synth_dataset, "idx": partial(_idx_files, data_root)}
     if kind not in loaders:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     full = from_block(loaders[kind], cfg, "workload.dataset")
     full.inputs = _shaped(full.inputs, workload.model_spec)
-    train, val = split_validation(full, workload.val_fraction, workload.data_seed)
+    train, val = split_validation(full, seed=workload.data_seed)
     if train_noise > 0.0:
-        if not train_noise < 1.0:
-            raise ConfigError("train_label_noise must be in [0, 1)")
         rng = np.random.default_rng([workload.data_seed, 0xF11D])
         flip = rng.random(len(train)) < train_noise
         shift = rng.integers(1, train.num_classes, size=int(flip.sum()))

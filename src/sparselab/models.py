@@ -24,7 +24,6 @@ from .exceptions import ConfigError
 from .nn import Affine, Conv3x3, Flatten, GlobalMeanPool, MeanPool2x2, Relu
 
 ARCHITECTURES = ("simple-mlp", "cnn-lite")
-INIT_SCHEMES = ("he-uniform",)
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,6 @@ class ModelSpec:
     input_shape: tuple
     widths: tuple            # hidden widths (mlp) or channel counts (cnn)
     classes: int
-    init: str = "he-uniform"
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +39,6 @@ class ModelSpec:
         object.__setattr__(self, "widths", tuple(self.widths))
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.arch!r}")
-        if self.init not in INIT_SCHEMES:
-            raise ConfigError(f"unknown init scheme {self.init!r}")
         if self.classes < 2:
             raise ConfigError("class count must be >= 2")
         if any(w < 1 for w in self.widths):
@@ -132,9 +128,10 @@ def _cnn_layers(spec: ModelSpec) -> list:
 def build_model(spec: ModelSpec) -> Model:
     """Deterministic construction: same spec + seed -> identical parameters.
 
-    He-uniform init: weights ~ U(-sqrt(6/fan_in), +sqrt(6/fan_in)), biases
-    zero. Mask starts all-ones. Pruning at init (`harness.prune_at_init`)
-    then rescales each unit's kept weights back to the unit's L2 norm here.
+    The one init rule is He-uniform: weights ~ U(-sqrt(6/fan_in),
+    +sqrt(6/fan_in)), biases zero. Mask starts all-ones. Pruning at init
+    (`harness.prune_at_init`) then rescales each unit's kept weights back
+    to the unit's L2 norm here.
     """
     layers = _mlp_layers(spec) if spec.arch == "simple-mlp" else _cnn_layers(spec)
     model = Model(spec, layers)

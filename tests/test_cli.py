@@ -1,6 +1,8 @@
 """Command-line workflows: run/resume, fit, lipschitz, ratios, report."""
 
 import json
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from sparselab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL, main
 from sparselab.config import load_config
 from sparselab.exceptions import DegenerateStepError
 from sparselab.harness import StudyConfig
-from sparselab.report import read_table
+from sparselab.report import THEORY_FILE, read_table, write_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.json")
@@ -108,6 +110,10 @@ BAD_CONFIGS = {
                       "missing 'classes' in workload.model"),
     "model non-numeric": (lambda t: t["workload"]["model"].update(classes="four"),
                           "workload.model.classes must be numeric"),
+    "model init": (lambda t: t["workload"]["model"].update(init="he-uniform"),
+                   "unknown key 'init' in workload.model"),
+    "workload val_fraction": (lambda t: t["workload"].update(val_fraction=0.2),
+                              "unknown key 'val_fraction' in workload"),
     "schedule unknown": (lambda t: t["workload"]["schedule"].update(horizon=5),
                          "unknown key 'horizon' in workload.schedule"),
     "schedule non-numeric": (lambda t: t["workload"]["schedule"].update(
@@ -127,6 +133,12 @@ BAD_CONFIGS = {
                           "workload.dataset.separation must be numeric"),
     "synth label_noise": (lambda t: t["workload"]["dataset"].update(label_noise=0.1),
                           "unknown key 'label_noise' in workload.dataset"),
+    "label noise negative": (lambda t: t["workload"]["dataset"].update(
+                                 train_label_noise=-0.5),
+                             "workload.dataset.train_label_noise must be in [0, 1), "
+                             "got -0.5"),
+    "label noise nan": (lambda t: t["workload"]["dataset"].update(train_label_noise="nan"),
+                        "workload.dataset.train_label_noise must be in [0, 1), got nan"),
     "idx missing": (lambda t: t["workload"].update(
                         dataset={"kind": "idx", "images": "no/such.idx"}),
                     "missing 'labels' in workload.dataset"),
@@ -157,13 +169,40 @@ def test_shipped_config_loads_under_the_strict_loader(name):
     assert isinstance(load_config(CONFIGS / name), StudyConfig)
 
 
-def test_missing_dataset_file_exit_code(tmp_path):
+def test_missing_dataset_file_exit_code(tmp_path, capsys):
     cfg = json.loads(Path(SMOKE).read_text())
     cfg["workload"]["dataset"] = {"kind": "idx", "images": "no/such.idx",
                                   "labels": "no/such-labels.idx"}
     path = tmp_path / "idx.json"
     path.write_text(json.dumps(cfg))
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_IO
+    assert "data_root" in capsys.readouterr().err
+
+
+def test_malformed_idx_file_is_io_error_naming_the_byte_offset(tmp_path, capsys):
+    # header says 10 images of 28x28 (7840 bytes); the payload holds 100
+    (tmp_path / "images.idx").write_bytes(struct.pack(">4I", 0x803, 10, 28, 28)
+                                          + bytes(100))
+    (tmp_path / "labels.idx").write_bytes(struct.pack(">2I", 0x801, 10) + bytes(10))
+    path = edited_smoke(tmp_path, lambda t: (
+        t.update(data_root=str(tmp_path)),
+        t["workload"].update(dataset={"kind": "idx", "images": "images.idx",
+                                      "labels": "labels.idx"}),
+        t["workload"]["model"].update(input_shape=[28, 28, 1])))
+    assert run_cli("run", "--config", path, "--out", str(tmp_path)) == EXIT_IO
+    assert "expected 7840 bytes from byte 16, got 100" in capsys.readouterr().err
+
+
+def test_run_echoes_every_field_of_the_loaded_study(tmp_path, capsys):
+    path = edited_smoke(tmp_path, lambda t: (
+        t.update(budget=1, study={"batch_sizes": [8], "sparsities": [0.0]}),
+        t["workload"]["dataset"].update(train_label_noise=0.1)))
+    assert run_cli("run", "--config", path, "--out", str(tmp_path)) == EXIT_OK
+    echo = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert echo == json.loads(json.dumps(asdict(load_config(path))))
+    assert echo["workload"]["data_seed"] == 5
+    assert echo["workload"]["model_spec"]["seed"] == 3
+    assert echo["workload"]["dataset"]["train_label_noise"] == 0.1
 
 
 def write_exact_summary(path, c1=1000.0, c2=50.0, sparsities=(0.0,)):
@@ -322,6 +361,16 @@ def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):
 
 def test_ratios_without_theory_is_io_error(tmp_path):
     assert run_cli("ratios", "--out", str(tmp_path)) == EXIT_IO
+
+
+def test_ratios_with_a_zero_dense_constant_is_partial(tmp_path, capsys):
+    # a one-step trace has no loss decrease to measure, so delta is 0
+    write_table(tmp_path / THEORY_FILE, "theory",
+                [{"s": s, "L_avg": 2.0, "beta": 1.5, "delta": 0.0, "eta_bar": 0.05,
+                  "batch_size": 8, "steps": 50, "stride": 50} for s in (0.0, 0.5)])
+    assert run_cli("ratios", "--out", str(tmp_path)) == EXIT_PARTIAL
+    assert "dense delta is zero; ratios are undefined" in capsys.readouterr().err
+    assert not (tmp_path / "ratios.csv").exists()
 
 
 def test_report_renders_all_sections_after_pipeline(tmp_path, capsys):

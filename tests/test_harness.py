@@ -360,7 +360,6 @@ def test_trial_key_covers_every_value_run_trial_takes():
         "goal_error": 0.3,
         "eval_interval": 8,
         "max_steps": 50,
-        "val_fraction": 0.2,
         "data_seed": 6,
     }
     assert set(changed) == {f.name for f in fields(Workload)}
