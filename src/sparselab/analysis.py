@@ -1,8 +1,8 @@
 """Theory-facing measurements.
 
 * fit_scaling / predict_steps: least-squares fit of the steps-to-result
-  law K(B) = c1/B + c2 (same functional form for fixed and decaying
-  learning-rate schedules, different constant labels).
+  law K(B) = c1/B + c2. A decaying learning-rate schedule fits the same
+  law, whose constants the paper writes with a tilde.
 * estimate_lipschitz / trace_smoothness: Hessian-free local smoothness
   estimate along the realized update direction, max over a grid of
   fractional steps, with the expected gradient taken over the entire
@@ -26,19 +26,12 @@ from . import nn
 from .exceptions import ConfigError, DegenerateStepError, InsufficientDataError
 from .harness import INFEASIBLE, StudyPoint, Workload, resolve_dataset, run_trial
 
-FIT_FORMS = ("fixed-lr", "decaying-lr")
-
-
 @dataclass(frozen=True)
 class ScalingFit:
-    form: str
     c1: float
     c2: float
     residual: float               # RMS relative error over the fitted points
     points: tuple                 # ((B, K), ...) actually used
-
-    def constant_labels(self):
-        return ("c1", "c2") if self.form == "fixed-lr" else ("c1_tilde", "c2_tilde")
 
 
 @dataclass
@@ -67,7 +60,7 @@ class SmoothnessTrace:
 # Scaling-law fit
 # ---------------------------------------------------------------------------
 
-def fit_scaling(points, form: str = "fixed-lr") -> ScalingFit:
+def fit_scaling(points) -> ScalingFit:
     """Least squares for K = c1/B + c2, linear in the coefficients.
 
     Negative coefficients are clamped to zero and the other refit, which
@@ -76,8 +69,6 @@ def fit_scaling(points, form: str = "fixed-lr") -> ScalingFit:
     (c1 / min B, or c2) is below 1e-12 * max K is rounding noise of the
     solve and is zeroed the same way.
     """
-    if form not in FIT_FORMS:
-        raise ConfigError(f"unknown fit form {form!r}")
     pts = [(float(b), float(k)) for b, k in points]
     if len({b for b, _ in pts}) < 2:
         raise InsufficientDataError("need measurements at >= 2 distinct batch sizes")
@@ -98,7 +89,7 @@ def fit_scaling(points, form: str = "fixed-lr") -> ScalingFit:
 
     pred = c1 * x + c2
     residual = float(np.sqrt(np.mean(((pred - k) / k) ** 2)))
-    return ScalingFit(form, float(c1), float(c2), residual, tuple(pts))
+    return ScalingFit(float(c1), float(c2), residual, tuple(pts))
 
 
 def predict_steps(fit: ScalingFit, batch_size: float) -> float:
@@ -248,5 +239,5 @@ def ratio_report(sparse: TheoryParams, dense: TheoryParams) -> dict:
         if getattr(dense, name) == 0:
             raise ZeroDivisionError(f"dense {name} is zero; ratios are undefined")
         ratios[f"{name}_ratio"] = getattr(sparse, name) / getattr(dense, name)
-    c1_ratio = ratios["delta_ratio"] * ratios["beta_ratio"] * ratios["L_ratio"]
-    return {**ratios, "c1_ratio": c1_ratio, "slowdown_explained": c1_ratio > 1.0}
+    ratios["c1_ratio"] = ratios["delta_ratio"] * ratios["beta_ratio"] * ratios["L_ratio"]
+    return ratios

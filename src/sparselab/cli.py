@@ -28,9 +28,6 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 EXIT_IO = 4
 
-FORM_NAMES = {"fixed": "fixed-lr", "decay": "decaying-lr"}
-
-
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
@@ -71,19 +68,17 @@ def cmd_fit(args) -> int:
               file=sys.stderr)
         return EXIT_IO
     rows = report.read_table(summary_path, "summary")
-    form = FORM_NAMES[args.form]
 
     fits = {}
     for s in sorted({r["s"] for r in rows}):
         points = [(r["B"], r["K_star"]) for r in rows
                   if r["s"] == s and r["K_star"] is not None]
         try:
-            fit = fits[s] = analysis.fit_scaling(points, form)
+            fit = fits[s] = analysis.fit_scaling(points)
         except InsufficientDataError:
             print(f"skip: sparsity {s:g} has fewer than 2 batch sizes with a K*")
             continue
-        c1_label, c2_label = fit.constant_labels()
-        print(f"sparsity {s:g}: {c1_label}={fit.c1:.6g} {c2_label}={fit.c2:.6g} "
+        print(f"sparsity {s:g}: c1={fit.c1:.6g} c2={fit.c2:.6g} "
               f"residual={fit.residual:.4g}")
     if not fits:
         return EXIT_PARTIAL
@@ -109,6 +104,9 @@ def _trace_metaparams(args, rows, workload, sparsity):
 
 
 def cmd_lipschitz(args) -> int:
+    if args.steps <= args.stride:
+        raise ConfigError(f"--steps ({args.steps}) must exceed --stride "
+                          f"({args.stride}): a trace needs more than one step")
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +155,8 @@ def cmd_ratios(args) -> int:
         return EXIT_PARTIAL
 
     fits_path = out / report.FITS_FILE
-    fits = report.read_fits(fits_path) if fits_path.exists() else {}
+    fitted_c1 = ({f["s"]: f["c1"] for f in report.read_table(fits_path, "fits")}
+                 if fits_path.exists() else {})
     dense_params = analysis.TheoryParams(
         L=dense["L_avg"], beta=dense["beta"], delta=dense["delta"])
 
@@ -173,8 +172,8 @@ def cmd_ratios(args) -> int:
             print(e, file=sys.stderr)
             return EXIT_PARTIAL
         fitted = None
-        if 0.0 in fits and r["s"] in fits and fits[0.0].c1 > 0:
-            fitted = fits[r["s"]].c1 / fits[0.0].c1
+        if fitted_c1.get(0.0, 0) > 0 and r["s"] in fitted_c1:
+            fitted = fitted_c1[r["s"]] / fitted_c1[0.0]
         ratio_rows.append({"s": r["s"], **ratios, "c1_ratio_fitted": fitted})
         print(f"s={r['s']:g}: delta x beta x L = {ratios['delta_ratio']:.3g} x "
               f"{ratios['beta_ratio']:.3g} x {ratios['L_ratio']:.3g} = "
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the scaling law to a summary")
     common(p_fit, config_required=False)
-    p_fit.add_argument("--form", choices=sorted(FORM_NAMES), default="fixed")
     p_fit.set_defaults(func=cmd_fit)
 
     p_lip = sub.add_parser("lipschitz", help="smoothness traces per sparsity")

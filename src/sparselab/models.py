@@ -129,18 +129,19 @@ def build_model(spec: ModelSpec) -> Model:
     """Deterministic construction: same spec + seed -> identical parameters.
 
     The one init rule is He-uniform: weights ~ U(-sqrt(6/fan_in),
-    +sqrt(6/fan_in)), biases zero. Mask starts all-ones. Pruning at init
-    (`harness.prune_at_init`) then rescales each unit's kept weights back
-    to the unit's L2 norm here.
+    +sqrt(6/fan_in)), biases zero, where a weight's last axis is its units
+    and fan_in is the size of the rest. Mask starts all-ones. Pruning at
+    init (`harness.prune_at_init`) then rescales each unit's kept weights
+    back to the unit's L2 norm here.
     """
     layers = _mlp_layers(spec) if spec.arch == "simple-mlp" else _cnn_layers(spec)
     model = Model(spec, layers)
     rng = np.random.default_rng(spec.seed)
-    for layer, views in zip(model.layers, model.param_views()):
-        if not layer.param_shapes:
+    for views in model.param_views():
+        if not views:
             continue
         weight, bias = views
-        limit = np.sqrt(6.0 / layer.fan_in())
+        limit = np.sqrt(6.0 / (weight.size // weight.shape[-1]))
         weight[...] = rng.uniform(-limit, limit, size=weight.shape)
         bias[...] = 0.0
     return model

@@ -37,9 +37,6 @@ class Affine:
     def param_shapes(self):
         return [(self.n_in, self.n_out), (self.n_out,)]
 
-    def fan_in(self):
-        return self.n_in
-
     def forward(self, x, params):
         W, b = params
         if x.ndim != 2 or x.shape[1] != self.n_in:
@@ -81,9 +78,6 @@ class Conv3x3:
     @property
     def param_shapes(self):
         return [(3, 3, self.c_in, self.c_out), (self.c_out,)]
-
-    def fan_in(self):
-        return 9 * self.c_in
 
     def forward(self, x, params):
         K, b = params

@@ -18,10 +18,8 @@ import csv
 import os
 from pathlib import Path
 
-from .analysis import ScalingFit, predict_steps
+from .analysis import predict_steps
 from .exceptions import ResultsFormatError
-
-SCHEMA = 1
 
 SUMMARY_FILE = "summary.csv"
 FITS_FILE = "fits.csv"
@@ -36,9 +34,9 @@ TABLES = {
                     ("eta_star", float, ".8g"), ("momentum_star", float, ".8g"),
                     ("n_complete", int, ""), ("n_incomplete", int, ""),
                     ("n_infeasible", int, ""))),
-    "fits": (1, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
-                 ("K_hat", float, ".4f"), ("form", str, ""), ("c1", float, ".6g"),
-                 ("c2", float, ".6g"), ("residual", float, ".6g"))),
+    "fits": (2, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
+                 ("K_hat", float, ".4f"), ("c1", float, ".6g"), ("c2", float, ".6g"),
+                 ("residual", float, ".6g"))),
     "traces": (1, (("s", float, ""), ("step", int, ""), ("lipschitz_hat", float, ".8g"))),
     "theory": (1, (("s", float, ""), ("L_avg", float, ".8g"), ("beta", float, ".8g"),
                    ("delta", float, ".8g"), ("eta_bar", float, ".8g"),
@@ -104,18 +102,8 @@ def write_fits(path, fits: dict):
     fitted prediction alongside, plus the fit constants and residual."""
     write_table(path, "fits", (
         {"B": int(b), "s": s, "K_star": int(k), "K_hat": predict_steps(fit, b),
-         "form": fit.form, "c1": fit.c1, "c2": fit.c2, "residual": fit.residual}
+         "c1": fit.c1, "c2": fit.c2, "residual": fit.residual}
         for s, fit in sorted(fits.items()) for b, k in fit.points))
-
-
-def read_fits(path) -> dict:
-    fits: dict = {}
-    points: dict = {}
-    for r in read_table(path, "fits"):
-        points.setdefault(r["s"], []).append((float(r["B"]), float(r["K_star"])))
-        fits[r["s"]] = (r["form"], r["c1"], r["c2"], r["residual"])
-    return {s: ScalingFit(form, c1, c2, residual, tuple(points[s]))
-            for s, (form, c1, c2, residual) in fits.items()}
 
 
 def write_traces(path, traces: dict):
@@ -129,76 +117,69 @@ def write_traces(path, traces: dict):
 # Report rendering
 # ---------------------------------------------------------------------------
 
+def _markdown_table(title: str, headers, rows) -> list:
+    """Lines of a titled markdown table; a None cell shows as '-'."""
+    lines = [title, "", "| " + " | ".join(headers) + " |",
+             "|" + "|".join("-" * (len(h) + 2) for h in headers) + "|"]
+    lines += ["| " + " | ".join("-" if c is None else str(c) for c in row) + " |"
+              for row in rows]
+    return lines + [""]
+
+
 def _scaling_section(rows: list) -> list:
     lines = ["## Scaling: steps-to-result by batch size", ""]
-    sparsities = sorted({r["s"] for r in rows})
-    for s in sparsities:
-        sub = sorted((r for r in rows if r["s"] == s and r["K_star"] is not None),
-                     key=lambda r: r["B"])
-        lines.append(f"### sparsity {s:g}")
-        lines.append("")
-        lines.append("| B | K* | K*/K*(B_min) | complete | incomplete | infeasible |")
-        lines.append("|---|----|--------------|----------|------------|------------|")
-        base = sub[0]["K_star"] if sub else None
-        for r in sorted((r for r in rows if r["s"] == s), key=lambda r: r["B"]):
-            k = r["K_star"]
-            k_text = str(k) if k is not None else "-"
-            norm = f"{k / base:.4f}" if (k is not None and base) else "-"
-            lines.append(f"| {r['B']} | {k_text} | {norm} | {r['n_complete']} "
-                         f"| {r['n_incomplete']} | {r['n_infeasible']} |")
-        lines.append("")
+    for s in sorted({r["s"] for r in rows}):
+        sub = sorted((r for r in rows if r["s"] == s), key=lambda r: r["B"])
+        base = next((r["K_star"] for r in sub if r["K_star"] is not None), None)
+        norm = {r["B"]: f"{r['K_star'] / base:.4f}" for r in sub
+                if r["K_star"] is not None and base}
+        lines += _markdown_table(
+            f"### sparsity {s:g}",
+            ("B", "K*", "K*/K*(B_min)", "complete", "incomplete", "infeasible"),
+            ((r["B"], r["K_star"], norm.get(r["B"]), r["n_complete"],
+              r["n_incomplete"], r["n_infeasible"]) for r in sub))
     return lines
 
 
-def _fit_section(fits: dict) -> list:
-    lines = ["## Scaling-law fits", "",
-             "| sparsity | form | c1 | c2 | RMS rel. residual |",
-             "|----------|------|----|----|-------------------|"]
-    for s, fit in sorted(fits.items()):
-        lines.append(f"| {s:g} | {fit.form} | {fit.c1:.6g} | {fit.c2:.6g} "
-                     f"| {fit.residual:.4g} |")
-    lines.append("")
-    return lines
+def _fit_section(rows: list) -> list:
+    fits = {r["s"]: r for r in rows}         # each row repeats its sparsity's fit
+    return _markdown_table(
+        "## Scaling-law fits", ("sparsity", "c1", "c2", "RMS rel. residual"),
+        ((f"{s:g}", f"{r['c1']:.6g}", f"{r['c2']:.6g}", f"{r['residual']:.4g}")
+         for s, r in sorted(fits.items())))
 
 
-def _smoothness_section(theory_rows: list) -> list:
-    lines = ["## Smoothness and variance constants", "",
-             "| sparsity | avg Lipschitz | beta (B=1 variance) | delta |",
-             "|----------|---------------|---------------------|-------|"]
-    for r in theory_rows:
-        lines.append(f"| {r['s']:g} | {r['L_avg']:.6g} | {r['beta']:.6g} "
-                     f"| {r['delta']:.6g} |")
-    lines.append("")
-    return lines
+def _smoothness_section(rows: list) -> list:
+    return _markdown_table(
+        "## Smoothness and variance constants",
+        ("sparsity", "avg Lipschitz", "beta (B=1 variance)", "delta"),
+        ((f"{r['s']:g}", f"{r['L_avg']:.6g}", f"{r['beta']:.6g}", f"{r['delta']:.6g}")
+         for r in rows))
 
 
-def _ratio_section(ratio_rows: list) -> list:
-    lines = ["## Sparse/dense ratio decomposition", "",
-             "| sparsity | delta ratio | beta ratio | L ratio | c1 ratio "
-             "| fitted c1 ratio |",
-             "|----------|-------------|------------|---------|----------"
-             "|-----------------|"]
-    for r in ratio_rows:
-        fitted = r["c1_ratio_fitted"]
-        fitted_text = f"{fitted:.6g}" if fitted is not None else "-"
-        lines.append(f"| {r['s']:g} | {r['delta_ratio']:.6g} | {r['beta_ratio']:.6g} "
-                     f"| {r['L_ratio']:.6g} | {r['c1_ratio']:.6g} | {fitted_text} |")
-    lines.append("")
-    return lines
+def _ratio_section(rows: list) -> list:
+    return _markdown_table(
+        "## Sparse/dense ratio decomposition",
+        ("sparsity", "delta ratio", "beta ratio", "L ratio", "c1 ratio",
+         "fitted c1 ratio"),
+        ((f"{r['s']:g}", f"{r['delta_ratio']:.6g}", f"{r['beta_ratio']:.6g}",
+          f"{r['L_ratio']:.6g}", f"{r['c1_ratio']:.6g}",
+          None if r["c1_ratio_fitted"] is None else f"{r['c1_ratio_fitted']:.6g}")
+         for r in rows))
 
 
 def render_report(results_dir) -> str:
     results_dir = Path(results_dir)
-    lines = [f"# sparselab report (schema v{SCHEMA})", "",
+    lines = ["# sparselab report", "",
              f"results directory: `{os.fspath(results_dir)}`", ""]
-    sources = ((SUMMARY_FILE, lambda p: read_table(p, "summary"), _scaling_section),
-               (FITS_FILE, read_fits, _fit_section),
-               (THEORY_FILE, lambda p: read_table(p, "theory"), _smoothness_section),
-               (RATIOS_FILE, lambda p: read_table(p, "ratios"), _ratio_section))
+    sources = ((SUMMARY_FILE, "summary", _scaling_section),
+               (FITS_FILE, "fits", _fit_section),
+               (THEORY_FILE, "theory", _smoothness_section),
+               (RATIOS_FILE, "ratios", _ratio_section))
     missing = [name for name, _, _ in sources if not (results_dir / name).exists()]
-    for name, read, section in sources:
+    for name, kind, section in sources:
         if name not in missing:
-            lines += section(read(results_dir / name))
+            lines += section(read_table(results_dir / name, kind))
 
     lines.append(f"Sections rendered: {len(sources) - len(missing)}")
     if missing:

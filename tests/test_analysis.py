@@ -93,27 +93,15 @@ def test_fit_requires_two_distinct_batch_sizes():
         fit_scaling([(8, 100.0), (8, 120.0)])
     with pytest.raises(ConfigError):
         fit_scaling([(2, 0.0), (8, 10.0)])
-    with pytest.raises(ConfigError):
-        fit_scaling([(2, 10.0), (8, 10.0)], form="quadratic")
-
-
-def test_decaying_form_same_shape_different_labels():
-    points = [(b, 640.0 / b + 40.0) for b in (2, 8, 32)]
-    fixed = fit_scaling(points, "fixed-lr")
-    decay = fit_scaling(points, "decaying-lr")
-    assert fixed.c1 == pytest.approx(decay.c1)
-    assert fixed.c2 == pytest.approx(decay.c2)
-    assert fixed.constant_labels() == ("c1", "c2")
-    assert decay.constant_labels() == ("c1_tilde", "c2_tilde")
 
 
 def test_prediction_asymptote_is_c2():
-    fit = ScalingFit("fixed-lr", 1000.0, 50.0, 0.0, ())
+    fit = ScalingFit(1000.0, 50.0, 0.0, ())
     assert abs(predict_steps(fit, 1e9) - 50.0) <= 1000.0 * 1e-9
 
 
 def test_doubling_identity_holds_to_machine_precision():
-    fit = ScalingFit("fixed-lr", 3517.0, 211.0, 0.0, ())
+    fit = ScalingFit(3517.0, 211.0, 0.0, ())
     for b in (2.0, 8.0, 31.0, 100.0):
         for r in range(1, 6):
             lhs = predict_steps(fit, 2 ** r * b)
@@ -313,7 +301,6 @@ def test_ratio_report_identity():
     report = ratio_report(p, p)
     assert report["delta_ratio"] == report["beta_ratio"] == report["L_ratio"] == 1.0
     assert report["c1_ratio"] == 1.0
-    assert not report["slowdown_explained"]
 
 
 def test_ratio_report_reproduces_published_decomposition():
@@ -323,7 +310,7 @@ def test_ratio_report_reproduces_published_decomposition():
     report = ratio_report(sparse, dense)
     assert report["c1_ratio"] == pytest.approx(1.6686, abs=1e-4)
     assert abs(report["c1_ratio"] - 1.67) < 0.01
-    assert report["slowdown_explained"]
+    assert report["c1_ratio"] > 1
     # raw measured constants give the same story
     dense_raw = TheoryParams(L=0.57, beta=197.06, delta=4.66)
     sparse_raw = TheoryParams(L=1.76, beta=107.39, delta=4.68)

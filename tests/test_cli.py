@@ -12,7 +12,7 @@ from sparselab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARTIAL, main
 from sparselab.config import load_config
 from sparselab.exceptions import DegenerateStepError
 from sparselab.harness import StudyConfig
-from sparselab.report import THEORY_FILE, read_table, write_table
+from sparselab.report import FITS_FILE, THEORY_FILE, read_table, write_fits, write_table
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.json")
@@ -219,24 +219,26 @@ def test_fit_recovers_exact_fixture(tmp_path, capsys):
     write_exact_summary(tmp_path / "summary.csv")
     assert run_cli("fit", "--out", str(tmp_path)) == EXIT_OK
     fits = (tmp_path / "fits.csv").read_text().splitlines()
-    assert fits[0].startswith("# sparselab-fits v1")
+    assert fits[0].startswith("# sparselab-fits v2")
+    assert fits[1] == "B,s,K_star,K_hat,c1,c2,residual"
     row = fits[2].split(",")
-    assert row[4] == "fixed-lr"
-    assert float(row[5]) == pytest.approx(1000.0, rel=1e-6)
-    assert float(row[6]) == pytest.approx(50.0, rel=1e-6)
-    assert float(row[7]) < 1e-9
+    assert float(row[4]) == pytest.approx(1000.0, rel=1e-6)
+    assert float(row[5]) == pytest.approx(50.0, rel=1e-6)
+    assert float(row[6]) < 1e-9
+    assert "sparsity 0: c1=1000 c2=50 " in capsys.readouterr().out
 
 
-def test_fit_forms_share_shape_with_different_labels(tmp_path, capsys):
-    write_exact_summary(tmp_path / "summary.csv")
-    assert run_cli("fit", "--out", str(tmp_path), "--form", "fixed") == EXIT_OK
-    fixed = (tmp_path / "fits.csv").read_text()
-    assert run_cli("fit", "--out", str(tmp_path), "--form", "decay") == EXIT_OK
-    decay = (tmp_path / "fits.csv").read_text()
-    assert "fixed-lr" in fixed and "decaying-lr" in decay
-    assert fixed.replace("fixed-lr", "X") == decay.replace("decaying-lr", "X")
-    out = capsys.readouterr().out
-    assert "c1_tilde" in out
+@pytest.mark.parametrize("command", ["ratios", "report"])
+def test_fits_table_of_version_1_is_io_error(tmp_path, capsys, command):
+    write_table(tmp_path / THEORY_FILE, "theory",
+                [{"s": s, "L_avg": 2.0, "beta": 1.5, "delta": 1.0, "eta_bar": 0.05,
+                  "batch_size": 8, "steps": 100, "stride": 50} for s in (0.0, 0.5)])
+    (tmp_path / "fits.csv").write_text(
+        "# sparselab-fits v1\n"
+        "B,s,K_star,K_hat,form,c1,c2,residual\n"
+        "2,0.0,550,550.0000,fixed-lr,1000,50,0.0125\n")
+    assert run_cli(command, "--out", str(tmp_path)) == EXIT_IO
+    assert "fits.csv:1: expected '# sparselab-fits v2'" in capsys.readouterr().err
 
 
 def test_fit_skips_sparsity_with_single_batch_size(tmp_path, capsys):
@@ -359,8 +361,30 @@ def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):
     assert "stride must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["50", "40"])
+def test_lipschitz_steps_within_one_stride_is_a_config_error(tmp_path, capsys, steps):
+    # one stride or less traces a single step, which has no loss decrease
+    assert run_cli("lipschitz", "--config", SMOKE, "--out", str(tmp_path),
+                   "--stride", "50", "--steps", steps, "--eta", "0.05") == EXIT_CONFIG
+    assert f"--steps ({steps}) must exceed --stride (50)" in capsys.readouterr().err
+    assert not (tmp_path / "traces.csv").exists()
+
+
 def test_ratios_without_theory_is_io_error(tmp_path):
     assert run_cli("ratios", "--out", str(tmp_path)) == EXIT_IO
+
+
+def test_ratios_compares_with_the_fitted_c1_ratio(tmp_path):
+    write_table(tmp_path / THEORY_FILE, "theory",
+                [{"s": s, "L_avg": 2.0, "beta": 1.5, "delta": 1.0 + s, "eta_bar": 0.05,
+                  "batch_size": 8, "steps": 100, "stride": 50} for s in (0.0, 0.5, 0.9)])
+    write_fits(tmp_path / FITS_FILE,
+               {0.0: analysis.ScalingFit(1000.0, 50.0, 0.0, ((2, 550), (8, 175))),
+                0.5: analysis.ScalingFit(2500.0, 60.0, 0.0, ((2, 1310), (8, 372)))})
+    assert run_cli("ratios", "--out", str(tmp_path)) == EXIT_OK
+    rows = read_table(tmp_path / "ratios.csv", "ratios")
+    assert [(r["s"], r["c1_ratio"], r["c1_ratio_fitted"]) for r in rows] == [
+        (0.5, 1.5, 2.5), (0.9, 1.9, None)]
 
 
 def test_ratios_with_a_zero_dense_constant_is_partial(tmp_path, capsys):
@@ -395,7 +419,8 @@ def test_study_is_stated_only_by_the_config_file(capsys):
                  ["run", "--config", SMOKE, "--grid-override", "B=8"],
                  ["lipschitz", "--config", SMOKE, "--seed", "2"],
                  ["lipschitz", "--config", SMOKE, "--grid-override", "s=0"],
-                 ["fit", "--summary", "summary.csv"]):
+                 ["fit", "--summary", "summary.csv"],
+                 ["fit", "--form", "decay"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == 2

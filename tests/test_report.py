@@ -1,12 +1,13 @@
 """Results-file format: exact bytes of each table kind, round trips
-through the reader, and loud failures on malformed files."""
+through the reader, loud failures on malformed files, and the exact text
+of the report rendered from them."""
 
 import pytest
 
 from sparselab.analysis import ScalingFit, SmoothnessTrace
 from sparselab.exceptions import ResultsFormatError
 from sparselab.harness import StudyCell, StudyTable
-from sparselab.report import (read_fits, read_table, write_fits, write_summary,
+from sparselab.report import (read_table, render_report, write_fits, write_summary,
                               write_table, write_traces)
 
 TABLE = StudyTable("fixture", 0.2, 3, [
@@ -22,16 +23,16 @@ B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible
 8,0.5,24,0.039359793,,1,1,1
 """
 
-FITS = {0.9: ScalingFit("decaying-lr", 333.25, 12.5, 1.5e-7, ((2.0, 179.0), (3.0, 124.0))),
-        0.0: ScalingFit("fixed-lr", 1000.0, 50.0, 0.0125, ((2.0, 550.0), (8.0, 176.0)))}
+FITS = {0.9: ScalingFit(333.25, 12.5, 1.5e-7, ((2.0, 179.0), (3.0, 124.0))),
+        0.0: ScalingFit(1000.0, 50.0, 0.0125, ((2.0, 550.0), (8.0, 176.0)))}
 
 FITS_TEXT = """\
-# sparselab-fits v1
-B,s,K_star,K_hat,form,c1,c2,residual
-2,0.0,550,550.0000,fixed-lr,1000,50,0.0125
-8,0.0,176,175.0000,fixed-lr,1000,50,0.0125
-2,0.9,179,179.1250,decaying-lr,333.25,12.5,1.5e-07
-3,0.9,124,123.5833,decaying-lr,333.25,12.5,1.5e-07
+# sparselab-fits v2
+B,s,K_star,K_hat,c1,c2,residual
+2,0.0,550,550.0000,1000,50,0.0125
+8,0.0,176,175.0000,1000,50,0.0125
+2,0.9,179,179.1250,333.25,12.5,1.5e-07
+3,0.9,124,123.5833,333.25,12.5,1.5e-07
 """
 
 TRACES = {0.5: SmoothnessTrace([(0, 6.5561023), (40, None)], [], 0.0),
@@ -70,6 +71,50 @@ s,delta_ratio,beta_ratio,L_ratio,c1_ratio,c1_ratio_fitted
 0.9,3.744,0.673,1.224,3.08703,1.98
 """
 
+REPORT_TEXT = """\
+# sparselab report
+
+results directory: `{results}`
+
+## Scaling: steps-to-result by batch size
+
+### sparsity 0
+
+| B | K* | K*/K*(B_min) | complete | incomplete | infeasible |
+|---|----|--------------|----------|------------|------------|
+| 2 | 16 | 1.0000 | 3 | 0 | 0 |
+| 8 | - | - | 0 | 2 | 1 |
+
+### sparsity 0.5
+
+| B | K* | K*/K*(B_min) | complete | incomplete | infeasible |
+|---|----|--------------|----------|------------|------------|
+| 8 | 24 | 1.0000 | 1 | 1 | 1 |
+
+## Scaling-law fits
+
+| sparsity | c1 | c2 | RMS rel. residual |
+|----------|----|----|-------------------|
+| 0 | 1000 | 50 | 0.0125 |
+| 0.9 | 333.25 | 12.5 | 1.5e-07 |
+
+## Smoothness and variance constants
+
+| sparsity | avg Lipschitz | beta (B=1 variance) | delta |
+|----------|---------------|---------------------|-------|
+| 0 | 2.98633 | 576.317 | 14.5858 |
+| 0.5 | 2.79422 | 325.706 | 28.2346 |
+
+## Sparse/dense ratio decomposition
+
+| sparsity | delta ratio | beta ratio | L ratio | c1 ratio | fitted c1 ratio |
+|----------|-------------|------------|---------|----------|-----------------|
+| 0.5 | 1.93576 | 0.565151 | 0.935672 | 1.02363 | - |
+| 0.9 | 3.744 | 0.673 | 1.224 | 3.08703 | 1.98 |
+
+Sections rendered: 4
+"""
+
 
 def test_summary_bytes_and_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
@@ -88,9 +133,13 @@ def test_fits_bytes_and_round_trip(tmp_path):
     path = tmp_path / "fits.csv"
     write_fits(path, FITS)
     assert path.read_text() == FITS_TEXT
-    assert read_fits(path) == FITS
-    assert [r["K_hat"] for r in read_table(path, "fits")] == [
-        550.0, 175.0, 179.125, 123.5833]
+    dense = {"s": 0.0, "c1": 1000.0, "c2": 50.0, "residual": 0.0125}
+    sparse = {"s": 0.9, "c1": 333.25, "c2": 12.5, "residual": 1.5e-7}
+    assert read_table(path, "fits") == [
+        {"B": 2, "K_star": 550, "K_hat": 550.0, **dense},
+        {"B": 8, "K_star": 176, "K_hat": 175.0, **dense},
+        {"B": 2, "K_star": 179, "K_hat": 179.125, **sparse},
+        {"B": 3, "K_star": 124, "K_hat": 123.5833, **sparse}]
 
 
 def test_traces_bytes_and_round_trip(tmp_path):
@@ -127,3 +176,11 @@ def test_malformed_table_names_file_and_line(tmp_path, text, where):
     path.write_text(text)
     with pytest.raises(ResultsFormatError, match=f"theory.csv{where}"):
         read_table(path, "theory")
+
+
+def test_report_text_of_every_table(tmp_path):
+    write_summary(TABLE, tmp_path / "summary.csv")
+    write_fits(tmp_path / "fits.csv", FITS)
+    write_table(tmp_path / "theory.csv", "theory", THEORY)
+    write_table(tmp_path / "ratios.csv", "ratios", RATIOS)
+    assert render_report(tmp_path) == REPORT_TEXT.format(results=tmp_path)
