@@ -5,7 +5,8 @@ views into the owning model's flat parameter vector, so the optimizer
 and the pruning mask can treat the whole network as one length-m vector.
 
 Backward returns the gradient of the *mean* loss over the batch, i.e. an
-unbiased estimate of the full-data gradient under i.i.d. sampling.
+unbiased estimate of the full-data gradient under i.i.d. sampling, and
+stops at the first layer with parameters, whose input gradient is unused.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ConfigError, NumericOverflow, StaleCacheError
 
@@ -44,13 +45,12 @@ class Affine:
                 f"affine expects (batch, {self.n_in}) input, got {x.shape}")
         return x @ W + b, x
 
-    def backward(self, d_out, cache, params):
+    def backward(self, d_out, cache, params, need_input=True):
         W, _ = params
         x = cache
         d_W = x.T @ d_out
         d_b = d_out.sum(axis=0)
-        d_x = d_out @ W.T
-        return d_x, [d_W, d_b]
+        return d_out @ W.T if need_input else None, [d_W, d_b]
 
     def example_sq_norms(self, d_out, cache, masks):
         """Per row i, ||m * g_i||^2 of the row's own gradient
@@ -64,9 +64,10 @@ class Affine:
 class Conv3x3:
     """3x3 convolution, stride 1, zero 'same' padding, channels-last.
 
-    Implemented as patch extraction (im2col) followed by one matmul, so
-    the backward pass is exact matrix calculus rather than a hand-rolled
-    correlation.
+    Implemented as patch extraction (im2col: one strided view of the
+    zero-padded input, copied once) followed by one matmul, so the backward
+    pass is exact matrix calculus rather than a hand-rolled correlation.
+    The input gradient is added tap by tap, in a fixed (i, j) order.
     """
 
     def __init__(self, c_in: int, c_out: int):
@@ -84,28 +85,31 @@ class Conv3x3:
         if x.ndim != 4 or x.shape[3] != self.c_in:
             raise ConfigError(
                 f"conv expects (batch, h, w, {self.c_in}) input, got {x.shape}")
-        n, h, w, _ = x.shape
-        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-        # (n, h, w, c_in, 3, 3) -> (n, h, w, 3, 3, c_in)
-        patches = sliding_window_view(padded, (3, 3), axis=(1, 2))
-        patches = np.ascontiguousarray(patches.transpose(0, 1, 2, 4, 5, 3))
-        flat = patches.reshape(n * h * w, 9 * self.c_in)
-        y = flat @ K.reshape(9 * self.c_in, self.c_out) + b
+        n, h, w, c = x.shape
+        padded = np.zeros((n, h + 2, w + 2, c))
+        padded[:, 1:-1, 1:-1] = x
+        s0, s1, s2, s3 = padded.strides
+        # patches[n, y, x, i, j] = padded[n, y + i, x + j]; the reshape is the one copy
+        patches = as_strided(padded, (n, h, w, 3, 3, c), (s0, s1, s2, s1, s2, s3))
+        flat = patches.reshape(n * h * w, 9 * c)
+        y = flat @ K.reshape(9 * c, self.c_out)
+        y += b
         return y.reshape(n, h, w, self.c_out), (flat, x.shape)
 
-    def backward(self, d_out, cache, params):
+    def backward(self, d_out, cache, params, need_input=True):
         K, _ = params
         flat, x_shape = cache
         n, h, w, _ = x_shape
         d_flat_out = d_out.reshape(n * h * w, self.c_out)
         d_K = (flat.T @ d_flat_out).reshape(3, 3, self.c_in, self.c_out)
         d_b = d_flat_out.sum(axis=0)
-        d_patches = (d_flat_out @ K.reshape(9 * self.c_in, self.c_out).T)
-        d_patches = d_patches.reshape(n, h, w, 3, 3, self.c_in)
+        if not need_input:
+            return None, [d_K, d_b]
         d_padded = np.zeros((n, h + 2, w + 2, self.c_in))
         for i in range(3):
             for j in range(3):
-                d_padded[:, i:i + h, j:j + w, :] += d_patches[:, :, :, i, j, :]
+                d_tap = d_flat_out @ K[i, j].T
+                d_padded[:, i:i + h, j:j + w, :] += d_tap.reshape(n, h, w, self.c_in)
         return d_padded[:, 1:1 + h, 1:1 + w, :], [d_K, d_b]
 
     def example_sq_norms(self, d_out, cache, masks):
@@ -145,8 +149,9 @@ class MeanPool2x2:
 
     def backward(self, d_out, cache, params):
         n, h, w, c = cache
-        d_x = np.repeat(np.repeat(d_out, 2, axis=1), 2, axis=2) / 4.0
-        return d_x, []
+        d_block = np.broadcast_to((d_out / 4.0)[:, :, None, :, None, :],
+                                  (n, h // 2, 2, w // 2, 2, c))
+        return d_block.reshape(cache), []
 
 
 class GlobalMeanPool:
@@ -255,6 +260,8 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
     coordinates are outside the optimization problem entirely. With
     example_norms, each parameterized layer also adds its share of every
     example's masked squared gradient norm, from the same backward signal.
+    It stops at the first layer with parameters, after its parameter
+    gradients (and norms): nothing reads that layer's input gradient.
     """
     if cache.params_version != model.params_version:
         raise StaleCacheError("cache was built for different parameters")
@@ -268,12 +275,15 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
 
     sq_norms = np.zeros(cache.batch_size) if example_norms else None
     masks = model.mask_views() if example_norms else [None] * len(model.layers)
+    first = next(k for k, views in enumerate(cache.param_views) if views)
     d_params = []                 # built back to front, so in parameter order
-    for layer, layer_cache, views, mask in zip(model.layers[::-1], cache.layer_caches[::-1],
-                                               cache.param_views[::-1], masks[::-1]):
+    for k in range(len(model.layers) - 1, first - 1, -1):
+        layer, layer_cache, views = model.layers[k], cache.layer_caches[k], cache.param_views[k]
         if example_norms and views:
-            sq_norms += layer.example_sq_norms(d_out, layer_cache, mask)
-        d_out, layer_d = layer.backward(d_out, layer_cache, views)
+            sq_norms += layer.example_sq_norms(d_out, layer_cache, masks[k])
+        # positional: a wrapped layer method need not take keywords
+        d_out, layer_d = (layer.backward(d_out, layer_cache, views) if k > first
+                          else layer.backward(d_out, layer_cache, views, False))
         d_params[:0] = layer_d
     flat = np.concatenate([d.ravel() for d in d_params])
     flat *= model.mask

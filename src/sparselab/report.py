@@ -3,10 +3,11 @@
 Each results file is a table of one kind: a `# sparselab-<kind> v<schema>`
 line (which the summary follows with its workload, goal and budget), a
 header row, then comma-separated rows. `TABLES` gives each kind's schema
-version and columns as (name, type, format spec), and `write_table` and
-`read_table` are the only code that knows the format. An empty cell
-stands for None. `read_table` raises ResultsFormatError, naming the file
-and line, on anything that does not match the spec.
+version, its columns as (name, type, format spec) and the columns that may
+be empty, and `write_table` and `read_table` are the only code that knows
+the format. An empty cell stands for None. `read_table` raises
+ResultsFormatError, naming the file and line, on anything that does not
+match the spec, such as an empty cell in a column that must hold a value.
 
 The report is a pure function of whatever results files exist in the
 results directory; absent inputs are listed by name instead of failing.
@@ -28,28 +29,30 @@ THEORY_FILE = "theory.csv"
 RATIOS_FILE = "ratios.csv"
 REPORT_FILE = "report.md"
 
-# kind -> (schema version, columns as (name, type, format spec))
+# kind -> (schema version, columns as (name, type, format spec), nullable columns)
 TABLES = {
     "summary": (1, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
                     ("eta_star", float, ".8g"), ("momentum_star", float, ".8g"),
                     ("n_complete", int, ""), ("n_incomplete", int, ""),
-                    ("n_infeasible", int, ""))),
+                    ("n_infeasible", int, "")), {"K_star", "eta_star", "momentum_star"}),
     "fits": (2, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
                  ("K_hat", float, ".4f"), ("c1", float, ".6g"), ("c2", float, ".6g"),
-                 ("residual", float, ".6g"))),
-    "traces": (1, (("s", float, ""), ("step", int, ""), ("lipschitz_hat", float, ".8g"))),
+                 ("residual", float, ".6g")), set()),
+    "traces": (1, (("s", float, ""), ("step", int, ""), ("lipschitz_hat", float, ".8g")),
+               {"lipschitz_hat"}),
     "theory": (1, (("s", float, ""), ("L_avg", float, ".8g"), ("beta", float, ".8g"),
                    ("delta", float, ".8g"), ("eta_bar", float, ".8g"),
-                   ("batch_size", int, ""), ("steps", int, ""), ("stride", int, ""))),
+                   ("batch_size", int, ""), ("steps", int, ""), ("stride", int, "")), set()),
     "ratios": (1, (("s", float, ""), ("delta_ratio", float, ".6g"),
                    ("beta_ratio", float, ".6g"), ("L_ratio", float, ".6g"),
-                   ("c1_ratio", float, ".6g"), ("c1_ratio_fitted", float, ".6g"))),
+                   ("c1_ratio", float, ".6g"), ("c1_ratio_fitted", float, ".6g")),
+               {"c1_ratio_fitted"}),
 }
 
 
 def write_table(path, kind: str, rows, tag: str = ""):
     """Write dict rows as a `kind` table; `tag` extends the first line."""
-    version, columns = TABLES[kind]
+    version, columns, _ = TABLES[kind]
     with open(path, "w", newline="") as f:
         f.write(f"# sparselab-{kind} v{version}{tag}\n")
         writer = csv.writer(f, lineterminator="\n")
@@ -61,7 +64,7 @@ def write_table(path, kind: str, rows, tag: str = ""):
 
 def read_table(path, kind: str) -> list:
     """Rows of a `kind` table as dicts of typed values (None for empty)."""
-    version, columns = TABLES[kind]
+    version, columns, nullable = TABLES[kind]
     names = [name for name, _, _ in columns]
     with open(path, newline="") as f:
         if f.readline().split()[:3] != ["#", f"sparselab-{kind}", f"v{version}"]:
@@ -78,6 +81,9 @@ def read_table(path, kind: str) -> list:
             if len(fields) != len(columns):
                 raise ResultsFormatError(
                     f"{where}: expected {len(columns)} fields, found {len(fields)}")
+            empty = [name for name, text in zip(names, fields) if not text and name not in nullable]
+            if empty:
+                raise ResultsFormatError(f"{where}: empty cell in column {empty[0]}")
             try:
                 rows.append({name: typ(text) if text else None
                              for (name, typ, _), text in zip(columns, fields)})

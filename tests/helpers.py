@@ -27,6 +27,20 @@ def fd_gradient(model, inputs, targets, h=1e-5):
     return grad
 
 
+def conv_input_gradient_by_patches(d_out, K):
+    """Conv3x3's input gradient the im2col way: one (n*h*w, 9*c_in) patch
+    gradient from a single matmul, scattered back over the 3x3 taps."""
+    n, h, w, c_out = d_out.shape
+    c_in = K.shape[2]
+    d_patches = d_out.reshape(n * h * w, c_out) @ K.reshape(9 * c_in, c_out).T
+    d_patches = d_patches.reshape(n, h, w, 3, 3, c_in)
+    d_padded = np.zeros((n, h + 2, w + 2, c_in))
+    for i in range(3):
+        for j in range(3):
+            d_padded[:, i:i + h, j:j + w, :] += d_patches[:, :, :, i, j, :]
+    return d_padded[:, 1:1 + h, 1:1 + w, :]
+
+
 def max_relative_error(a, b, floor=1e-8):
     a = np.asarray(a)
     b = np.asarray(b)

@@ -241,6 +241,19 @@ def test_fits_table_of_version_1_is_io_error(tmp_path, capsys, command):
     assert "fits.csv:1: expected '# sparselab-fits v2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ratios", "report"])
+def test_fits_table_with_an_empty_c1_is_io_error(tmp_path, capsys, command):
+    write_table(tmp_path / THEORY_FILE, "theory",
+                [{"s": s, "L_avg": 2.0, "beta": 1.5, "delta": 1.0, "eta_bar": 0.05,
+                  "batch_size": 8, "steps": 100, "stride": 50} for s in (0.0, 0.5)])
+    (tmp_path / "fits.csv").write_text(
+        "# sparselab-fits v2\n"
+        "B,s,K_star,K_hat,c1,c2,residual\n"
+        "2,0.0,550,550.0000,,50,0.0125\n")
+    assert run_cli(command, "--out", str(tmp_path)) == EXIT_IO
+    assert "fits.csv:3: empty cell in column c1" in capsys.readouterr().err
+
+
 def test_fit_skips_sparsity_with_single_batch_size(tmp_path, capsys):
     path = tmp_path / "summary.csv"
     path.write_text(

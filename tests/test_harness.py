@@ -254,21 +254,29 @@ import hashlib
 from dataclasses import replace
 from helpers import acceptance_workload
 from sparselab.harness import StudyPoint, run_trial
+from sparselab.models import ModelSpec
 
-wl = replace(acceptance_workload(), max_steps=96)
-for s in (0.0, 0.9):
-    digest = hashlib.sha256()
-    rec = run_trial(wl, StudyPoint(512, s), {"eta_bar": 0.05}, seed=3,
-                    step_hook=lambda model, k: digest.update(model.params.tobytes()))
-    print(rec.to_json(), digest.hexdigest())
+mlp = replace(acceptance_workload(), max_steps=96)
+cnn = replace(mlp, algorithm="momentum", max_steps=24,
+              dataset={"kind": "synth", "classes": 4, "dims": 784, "per_class": 100,
+                       "separation": 6.0, "seed": 7},
+              model_spec=ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3))
+for wl, batch_size, metaparams in ((mlp, 512, {"eta_bar": 0.05}),
+                                   (cnn, 64, {"eta_bar": 0.05, "momentum_coeff": 0.9})):
+    for s in (0.0, 0.9):
+        digest = hashlib.sha256()
+        rec = run_trial(wl, StudyPoint(batch_size, s), metaparams, seed=3,
+                        step_hook=lambda model, k: digest.update(model.params.tobytes()))
+        print(rec.to_json(), digest.hexdigest())
 """
 
 
 def test_results_do_not_depend_on_the_blas_thread_count():
     # the acceptance-shaped MLP at B=512 is large enough for OpenBLAS to
-    # split its matmuls across threads under the default setting
+    # split its matmuls across threads under the default setting; the
+    # cnn-lite trial runs the conv products at the shipped 28x28x1 shape
     single = blas_run(1)
-    assert len(single.splitlines()) == 2
+    assert len(single.splitlines()) == 4
     assert blas_run(None) == single
 
 

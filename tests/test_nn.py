@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_gradient, max_relative_error
+from helpers import conv_input_gradient_by_patches, fd_gradient, max_relative_error
 from sparselab import nn
 from sparselab.exceptions import ConfigError, NumericOverflow, StaleCacheError
 from sparselab.models import ModelSpec, build_model
@@ -24,6 +24,81 @@ def test_mean_pool_equals_reshape_mean_bit_for_bit():
         n, h, w, c = shape
         y, _ = nn.MeanPool2x2().forward(x, [])
         assert np.array_equal(y, x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4)))
+        d_y = rng.normal(size=y.shape)
+        d_x, _ = nn.MeanPool2x2().backward(d_y, shape, [])
+        assert np.array_equal(d_x, np.repeat(np.repeat(d_y, 2, axis=1), 2, axis=2) / 4.0)
+
+
+@pytest.mark.parametrize("n,h,c_in,c_out,exact", [
+    (2, 14, 8, 16, True), (64, 14, 8, 16, True),    # cnn-lite's conv2 at 28x28 input
+    (4, 28, 1, 8, False), (4, 28, 2, 8, False), (4, 28, 3, 8, False),
+])
+def test_conv_matches_direct_taps_and_patch_scatter(n, h, c_in, c_out, exact):
+    layer = nn.Conv3x3(c_in, c_out)
+    rng = np.random.default_rng(n + c_in)
+    K, b = rng.normal(size=(3, 3, c_in, c_out)), rng.normal(size=c_out)
+    x = rng.normal(size=(n, h, h, c_in))
+    y, cache = layer.forward(x, [K, b])
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    taps = sum(padded[:, i:i + h, j:j + h] @ K[i, j] for i in range(3) for j in range(3))
+    np.testing.assert_allclose(y, taps + b, rtol=0, atol=1e-12 * np.abs(y).max())
+    d_out = rng.normal(size=y.shape)
+    d_x, _ = layer.backward(d_out, cache, [K, b])
+    oracle = conv_input_gradient_by_patches(d_out, K)
+    if exact:
+        assert np.array_equal(d_x, oracle)
+    else:     # BLAS may take a product this narrow another way, in the last bit
+        assert max_relative_error(d_x, oracle) < 1e-12
+
+
+IMAGE_SPECS = [ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3),
+               ModelSpec("simple-mlp", (6, 6, 2), (5,), 3, seed=3)]
+
+
+@pytest.mark.parametrize("spec", IMAGE_SPECS, ids=["cnn-lite", "image-mlp"])
+def test_backward_forms_no_input_gradient_up_to_the_first_layer_with_parameters(spec):
+    model = build_model(spec)
+    calls = []
+    for k, layer in enumerate(model.layers):
+        def spy(d_out, cache, params, *rest, k=k, real=layer.backward):
+            d_x, grads = real(d_out, cache, params, *rest)
+            calls.append((k, d_x is not None))
+            return d_x, grads
+        layer.backward = spy
+    first = next(k for k, layer in enumerate(model.layers) if layer.param_shapes)
+    assert first == (0 if spec.arch == "cnn-lite" else 1)     # the MLP starts with Flatten
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(5, *spec.input_shape))
+    y = rng.integers(0, spec.classes, size=5)
+    for run in (lambda: nn.batch_gradient(model, x, y),
+                lambda: nn.sweep(model, x, y, gradient=True, example_norms=True)):
+        calls.clear()
+        run()
+        assert calls == [(k, k > first) for k in range(len(model.layers) - 1, first - 1, -1)]
+
+
+@pytest.mark.parametrize("spec", IMAGE_SPECS, ids=["cnn-lite", "image-mlp"])
+def test_batch_gradient_equals_a_backward_through_every_layer(spec):
+    model = build_model(spec)
+    bits = np.ones(model.param_count)
+    bits[::4] = 0.0
+    apply_mask(model, Mask(bits, 1 / 4))
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(5, *spec.input_shape))
+    y = rng.integers(0, spec.classes, size=5)
+    _, _, grad = nn.batch_gradient(model, x, y)
+    logits, cache = nn.forward(model, x)
+    d = nn._softmax(logits)
+    d[np.arange(5), y] -= 1.0
+    d /= 5
+    d_params = []
+    for layer, layer_cache, views in zip(model.layers[::-1], cache.layer_caches[::-1],
+                                         cache.param_views[::-1]):
+        d, layer_d = layer.backward(d, layer_cache, views)
+        d_params[:0] = layer_d
+    assert d.shape == x.shape
+    full = np.concatenate([g.ravel() for g in d_params]) * model.mask
+    assert grad.flat.tobytes() == full.tobytes()
 
 
 def test_identity_linear_forward():

@@ -162,20 +162,27 @@ def test_table_bytes_and_round_trip(tmp_path, kind, rows, text):
     assert read_table(path, kind) == rows
 
 
-@pytest.mark.parametrize("text,where", [
-    (THEORY_TEXT.replace(",28.23463,", ","), ":4:"),
-    (THEORY_TEXT + "0.9,1,2,3,4,5,6,7,8\n", ":5:"),
-    (THEORY_TEXT.replace(",8,120,", ",eight,120,"), ":3:"),
-    (THEORY_TEXT.replace("L_avg,beta", "beta,L_avg"), ":2:"),
-    (THEORY_TEXT.replace("theory v1", "theory v2"), ":1:"),
-    (THEORY_TEXT.replace("sparselab-theory", "sparselab-ratios"), ":1:"),
-    ("", ":1:"),
-], ids=["short-row", "long-row", "not-an-int", "header", "version", "kind", "empty"])
-def test_malformed_table_names_file_and_line(tmp_path, text, where):
-    path = tmp_path / "theory.csv"
+@pytest.mark.parametrize("kind,text,where", [
+    ("theory", THEORY_TEXT.replace(",28.23463,", ","), ":4:"),
+    ("theory", THEORY_TEXT + "0.9,1,2,3,4,5,6,7,8\n", ":5:"),
+    ("theory", THEORY_TEXT.replace(",8,120,", ",eight,120,"), ":3:"),
+    ("theory", THEORY_TEXT.replace("L_avg,beta", "beta,L_avg"), ":2:"),
+    ("theory", THEORY_TEXT.replace("theory v1", "theory v2"), ":1:"),
+    ("theory", THEORY_TEXT.replace("sparselab-theory", "sparselab-ratios"), ":1:"),
+    ("theory", "", ":1:"),
+    ("summary", SUMMARY_TEXT.replace(",0,2,1\n", ",,2,1\n"), ":4: empty cell in column n_complete"),
+    ("fits", FITS_TEXT.replace(",333.25,12.5,", ",,12.5,", 1), ":5: empty cell in column c1"),
+    ("traces", TRACES_TEXT.replace("0.5,40,", "0.5,,"), ":6: empty cell in column step"),
+    ("theory", THEORY_TEXT.replace(",576.31668,", ",,"), ":3: empty cell in column beta"),
+    ("ratios", RATIOS_TEXT.replace(",3.08703,", ",,"), ":4: empty cell in column c1_ratio"),
+], ids=["short-row", "long-row", "not-an-int", "header", "version", "kind", "empty",
+        "summary-empty-cell", "fits-empty-cell", "traces-empty-cell", "theory-empty-cell",
+        "ratios-empty-cell"])
+def test_malformed_table_names_file_and_line(tmp_path, kind, text, where):
+    path = tmp_path / f"{kind}.csv"
     path.write_text(text)
-    with pytest.raises(ResultsFormatError, match=f"theory.csv{where}"):
-        read_table(path, "theory")
+    with pytest.raises(ResultsFormatError, match=f"{kind}.csv{where}"):
+        read_table(path, kind)
 
 
 def test_report_text_of_every_table(tmp_path):
