@@ -368,7 +368,7 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
         if step_hook is not None:
             step_hook(model, k)
         if k % workload.eval_interval == 0:
-            _, err, _ = nn.sweep(model, val.inputs, val.labels)
+            err = nn.error_rate(model, val.inputs, val.labels)
             history.append((k, err))
             if err <= workload.goal_error:
                 status = COMPLETE

@@ -7,6 +7,8 @@ and the pruning mask can treat the whole network as one length-m vector.
 Backward returns the gradient of the *mean* loss over the batch, i.e. an
 unbiased estimate of the full-data gradient under i.i.d. sampling, and
 stops at the first layer with parameters, whose input gradient is unused.
+One softmax pass per step or sweep chunk gives the loss, the error and
+backward's starting signal; the evaluation pass is forward plus argmax.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ConfigError, NumericOverflow, StaleCacheError
 
-# Samples per forward in sweep; bounds the activation and im2col buffers.
+# Samples per forward in a whole-data-set pass; bounds the activation and im2col buffers.
 FULL_GRADIENT_CHUNK = 1024
 
 # ---------------------------------------------------------------------------
@@ -43,7 +45,9 @@ class Affine:
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ConfigError(
                 f"affine expects (batch, {self.n_in}) input, got {x.shape}")
-        return x @ W + b, x
+        y = x @ W
+        y += b
+        return y, x
 
     def backward(self, d_out, cache, params, need_input=True):
         W, _ = params
@@ -131,7 +135,8 @@ class Relu:
         return np.maximum(x, 0.0), x
 
     def backward(self, d_out, cache, params):
-        return d_out * (cache > 0), []
+        d_out *= cache > 0        # in place: every backward returns a fresh array
+        return d_out, []
 
 
 class MeanPool2x2:
@@ -151,7 +156,8 @@ class MeanPool2x2:
         n, h, w, c = cache
         d_block = np.broadcast_to((d_out / 4.0)[:, :, None, :, None, :],
                                   (n, h // 2, 2, w // 2, 2, c))
-        return d_block.reshape(cache), []
+        # one copy, also at 2x2 input, where a reshape alone gives a read-only view
+        return d_block.copy().reshape(cache), []
 
 
 class GlobalMeanPool:
@@ -226,34 +232,35 @@ def forward(model, inputs: np.ndarray):
     return x, BatchCache(layer_caches, param_views, model.params_version, len(x))
 
 
-def loss_and_error(logits: np.ndarray, targets: np.ndarray):
-    """Softmax cross-entropy (log-sum-exp stabilized) and argmax error rate.
-
-    Argmax ties break toward the lowest class index.
-    """
+def _softmax_pass(logits, targets):
+    """The output layer in one exp pass over finite logits: each row's target
+    log-probability, the argmax miss count (ties break toward the lowest
+    class index) and the softmax, which backward overwrites."""
     targets = np.asarray(targets)
     if logits.shape[0] != targets.shape[0]:
         raise ConfigError(
             f"{logits.shape[0]} logit rows vs {targets.shape[0]} targets")
+    rows, pred = np.arange(len(targets)), logits.argmax(axis=1)
+    shifted = logits - logits[rows, pred][:, None]     # the row max, by the argmax
+    e = np.exp(shifted)
+    sums = e.sum(axis=1)
+    log_probs = shifted[rows, targets] - np.log(sums)
+    e /= sums[:, None]
+    return log_probs, int((pred != targets).sum()), e
+
+
+def loss_and_error(logits: np.ndarray, targets: np.ndarray):
+    """Softmax cross-entropy (log-sum-exp stabilized) and argmax error rate."""
     if not np.all(np.isfinite(logits)):
         raise NumericOverflow("non-finite logits")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted[np.arange(len(targets)), targets] - log_z
-    mean_loss = float(-log_probs.mean())
-    error_rate = float((logits.argmax(axis=1) != targets).mean())
-    return mean_loss, error_rate
+    log_probs, wrong, _ = _softmax_pass(logits, targets)
+    return float(-log_probs.mean()), wrong / len(log_probs)
 
 
-def _softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
+def backward(model, cache: BatchCache, targets: np.ndarray, probs: np.ndarray,
              example_norms: bool = False) -> Gradient:
-    """Mean gradient of the softmax cross-entropy over the batch.
+    """Mean gradient of the softmax cross-entropy over the batch, from the
+    softmax `probs` of forward's logits, which it overwrites.
 
     Differentiates at the masked views forward cached (the version check
     keeps them current) and zeroes the entries at masked positions: pruned
@@ -269,7 +276,7 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
         raise StaleCacheError("cache already consumed by a backward pass")
     cache.consumed = True
 
-    d_out = _softmax(logits)
+    d_out = probs
     d_out[np.arange(len(targets)), targets] -= 1.0
     d_out /= cache.batch_size
 
@@ -295,37 +302,50 @@ def backward(model, cache: BatchCache, targets: np.ndarray, logits: np.ndarray,
 
 
 def batch_gradient(model, inputs, targets):
-    """forward + loss + backward in one call; returns (loss, error, Gradient)."""
+    """forward, one softmax pass and backward; returns (loss, error, Gradient)."""
     logits, cache = forward(model, inputs)
-    loss, err = loss_and_error(logits, targets)
-    grad = backward(model, cache, targets, logits)
-    return loss, err, grad
+    log_probs, wrong, probs = _softmax_pass(logits, targets)
+    grad = backward(model, cache, targets, probs)
+    return float(-log_probs.mean()), wrong / len(log_probs), grad
+
+
+def _chunks(n):
+    """A data set's slices of FULL_GRADIENT_CHUNK samples, one per forward."""
+    if n == 0:
+        raise ConfigError("empty dataset")
+    return [slice(i, i + FULL_GRADIENT_CHUNK) for i in range(0, n, FULL_GRADIENT_CHUNK)]
 
 
 def sweep(model, inputs, labels, gradient: bool = False, example_norms: bool = False):
     """(mean loss, error rate, mean Gradient or None) over a whole data set,
-    FULL_GRADIENT_CHUNK samples per forward: the only loop over a data set.
-    Loss and error are taken once over the joined logits, so they equal a
-    one-shot pass bit for bit; the gradient is the size-weighted chunk mean.
-    With example_norms as well, the Gradient holds every example's masked
-    squared gradient norm, taken in the same backward passes."""
-    n = len(labels)
-    if n == 0:
-        raise ConfigError("empty dataset")
-    logits, norms, total = [], [], np.zeros(model.param_count)
-    for start in range(0, n, FULL_GRADIENT_CHUNK):
-        chunk = slice(start, start + FULL_GRADIENT_CHUNK)
+    one forward and one softmax pass per chunk. Loss and error are row-wise
+    sums over the chunks, so they equal a one-shot pass bit for bit; the
+    gradient is the size-weighted chunk mean. With example_norms as well, the
+    Gradient holds every example's masked squared gradient norm."""
+    log_probs, wrong, norms, total = [], 0, [], np.zeros(model.param_count)
+    for chunk in _chunks(len(labels)):
         out, cache = forward(model, inputs[chunk])
-        logits.append(out)
+        chunk_log_probs, chunk_wrong, probs = _softmax_pass(out, labels[chunk])
+        log_probs.append(chunk_log_probs)
+        wrong += chunk_wrong
         if gradient:
-            grad = backward(model, cache, labels[chunk], out, example_norms)
+            grad = backward(model, cache, labels[chunk], probs, example_norms)
             total += grad.flat * len(out)
             norms.append(grad.example_sq_norms)
         del cache                 # free the chunk's activations before the next
-    loss, err = loss_and_error(np.concatenate(logits), labels)
+    n = len(labels)
+    loss = float(-np.concatenate(log_probs).mean())
     if not gradient:
-        return loss, err, None
-    return loss, err, Gradient(total / n, np.concatenate(norms) if example_norms else None)
+        return loss, wrong / n, None
+    return loss, wrong / n, Gradient(total / n, np.concatenate(norms) if example_norms else None)
+
+
+def error_rate(model, inputs, labels) -> float:
+    """Argmax error rate over a whole data set, one forward per chunk and
+    no softmax or loss: the evaluation pass. No chunk's activations outlive it."""
+    wrong = sum(int((forward(model, inputs[chunk])[0].argmax(axis=1) != labels[chunk]).sum())
+                for chunk in _chunks(len(labels)))
+    return wrong / len(labels)
 
 
 def full_gradient(model, inputs, labels) -> Gradient:

@@ -88,7 +88,8 @@ def test_batch_gradient_equals_a_backward_through_every_layer(spec):
     y = rng.integers(0, spec.classes, size=5)
     _, _, grad = nn.batch_gradient(model, x, y)
     logits, cache = nn.forward(model, x)
-    d = nn._softmax(logits)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    d = e / e.sum(axis=1, keepdims=True)
     d[np.arange(5), y] -= 1.0
     d /= 5
     d_params = []
@@ -290,6 +291,53 @@ def test_sweep_in_chunks_equals_one_shot_forward(monkeypatch):
     np.testing.assert_allclose(grad.flat, whole.flat, atol=1e-14)
 
 
+def misses_all_but_every_third(model, x, classes):
+    """Labels the model gets right only at rows 1, 4, 7, ... short of the
+    last, so every chunk, the last one too, holds a miss."""
+    pred = nn.forward(model, x)[0].argmax(axis=1)
+    rows = np.arange(len(x))
+    hit = (rows % 3 == 1) & (rows < len(x) - 1)
+    return np.where(hit, pred, (pred + 1) % classes)
+
+
+def as_bytes(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("classes", [2, 4, 10, 16])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_one_softmax_pass_per_chunk_equals_one_pass_over_joined_logits(monkeypatch, classes, n):
+    chunk = 8                     # n in {1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1}
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", chunk)
+    model = build_model(ModelSpec("simple-mlp", (5,), (6,), classes, seed=classes))
+    x = np.random.default_rng(n).normal(size=(n, 5)) * 3.0
+    y = misses_all_but_every_third(model, x, classes)
+    joined = np.concatenate([nn.forward(model, x[i:i + chunk])[0] for i in range(0, n, chunk)])
+    expected = as_bytes(*nn.loss_and_error(joined, y))
+    shifted = joined - joined.max(axis=1, keepdims=True)      # the reference expressions
+    reference = -(shifted[np.arange(n), y] - np.log(np.exp(shifted).sum(axis=1))).mean()
+    assert as_bytes(reference, (joined.argmax(axis=1) != y).mean()) == expected
+    for gradient in (False, True):
+        loss, err, _ = nn.sweep(model, x, y, gradient=gradient)
+        assert as_bytes(loss, err) == expected
+    assert as_bytes(nn.error_rate(model, x, y)) == as_bytes(nn.sweep(model, x, y)[1])
+    loss, err, _ = nn.batch_gradient(model, x, y)
+    assert as_bytes(loss, err) == as_bytes(*nn.loss_and_error(nn.forward(model, x)[0], y))
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_smallest_cnn_lite_gradients_match_finite_differences(monkeypatch, side):
+    # at 2x2 the pool's backward broadcast reshapes to a read-only view
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 2)
+    model = build_model(ModelSpec("cnn-lite", (side, side, 1), (2, 3), 3, seed=side))
+    rng = np.random.default_rng(20 + side)
+    x = rng.normal(size=(5, side, side, 1))
+    y = rng.integers(0, 3, size=5)
+    oracle = fd_gradient(model, x, y)
+    assert max_relative_error(nn.batch_gradient(model, x, y)[2].flat, oracle) < 1e-5
+    assert max_relative_error(nn.sweep(model, x, y, gradient=True)[2].flat, oracle) < 1e-5
+
+
 def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatch):
     monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 7)
     model = build_model(ModelSpec("simple-mlp", (4,), (5,), 3, seed=7))
@@ -315,10 +363,11 @@ def test_stale_cache_rejected_after_parameter_change():
     x = np.ones((2, 3))
     y = np.array([0, 1])
     logits, cache = nn.forward(model, x)
+    probs = nn._softmax_pass(logits, y)[2]
     model.params[0] += 0.1
     model.bump_version()
     with pytest.raises(StaleCacheError):
-        nn.backward(model, cache, y, logits)
+        nn.backward(model, cache, y, probs)
 
 
 def test_cache_consumed_once():
@@ -326,9 +375,10 @@ def test_cache_consumed_once():
     x = np.ones((2, 3))
     y = np.array([0, 1])
     logits, cache = nn.forward(model, x)
-    nn.backward(model, cache, y, logits)
+    probs = nn._softmax_pass(logits, y)[2]
+    nn.backward(model, cache, y, probs)
     with pytest.raises(StaleCacheError):
-        nn.backward(model, cache, y, logits)
+        nn.backward(model, cache, y, probs)
 
 
 def test_shape_mismatch_is_config_error():
