@@ -20,7 +20,6 @@ the seed and the trial index, so resuming reuses only matching records.
 from __future__ import annotations
 
 import ctypes
-import glob
 import hashlib
 import inspect
 import json
@@ -477,19 +476,10 @@ def planned_trials(cfg: StudyConfig) -> list:
 
 def _pin_one_blas_thread():
     """Pool initializer: one OpenBLAS thread per worker, since the workers
-    already share the cores between them. Tries numpy's bundled OpenBLAS,
-    then a system one in the process; a no-op if neither is found."""
-    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                     "numpy.libs", "libscipy_openblas*.so"))
-    calls = [(lib, "scipy_openblas_set_num_threads64_") for lib in bundled]
-    for lib, name in calls + [(None, "openblas_set_num_threads")]:
-        try:
-            set_threads = getattr(ctypes.CDLL(lib), name)
-        except (AttributeError, OSError):
-            continue
-        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
-        set_threads(1)
-        return
+    already share the cores between them; a no-op without OpenBLAS."""
+    blas = nn.openblas_threads()
+    if blas:
+        blas.set(1)
 
 
 def run_study(cfg: StudyConfig, records_path, workers: int = 1,

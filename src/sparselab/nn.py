@@ -9,10 +9,21 @@ unbiased estimate of the full-data gradient under i.i.d. sampling, and
 stops at the first layer with parameters, whose input gradient is unused.
 One softmax pass per step or sweep chunk gives the loss, the error and
 backward's starting signal; the evaluation pass is forward plus argmax.
+A sweep over a whole data set runs its chunks on one pool of threads, as
+many as OpenBLAS runs, each chunk at one OpenBLAS thread, and sums them in
+chunk order: its bytes are those of a one-thread serial pass at any
+thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from collections import deque, namedtuple
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +143,14 @@ class Relu:
     param_shapes: list = []
 
     def forward(self, x, params):
-        return np.maximum(x, 0.0), x
+        # in place: x is the fresh output of the layer before, never the data
+        np.maximum(x, 0.0, out=x)
+        return x, x
 
     def backward(self, d_out, cache, params):
-        d_out *= cache > 0        # in place: every backward returns a fresh array
+        # out > 0 exactly where x > 0, -0.0 included; in place: every
+        # backward returns a fresh array
+        d_out *= cache > 0
         return d_out, []
 
 
@@ -316,23 +331,109 @@ def _chunks(n):
     return [slice(i, i + FULL_GRADIENT_CHUNK) for i in range(0, n, FULL_GRADIENT_CHUNK)]
 
 
+OpenBlasThreads = namedtuple("OpenBlasThreads", "get set")
+
+
+@functools.cache
+def openblas_threads() -> OpenBlasThreads | None:
+    """The getter and setter of the process's OpenBLAS thread count: numpy's
+    bundled OpenBLAS, else a system one loaded in the process; None if
+    neither is found."""
+    bundled = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                     "numpy.libs", "libscipy_openblas*.so"))
+    names = [(lib, "scipy_openblas_{}_num_threads64_") for lib in bundled]
+    for lib, name in names + [(None, "openblas_{}_num_threads")]:
+        try:
+            dll = ctypes.CDLL(lib)
+            get, put = getattr(dll, name.format("get")), getattr(dll, name.format("set"))
+        except (AttributeError, OSError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return OpenBlasThreads(get, put)
+    return None
+
+
+_chunk_pool = None                # (threads, ThreadPoolExecutor), made by the first threaded sweep
+
+
+def _pool(threads):
+    global _chunk_pool
+    if _chunk_pool is None or _chunk_pool[0] != threads:
+        if _chunk_pool is not None:
+            _chunk_pool[1].shutdown()
+        _chunk_pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="sweep"))
+    return _chunk_pool[1]
+
+
+def _drop_pool_in_child():
+    """A forked child has none of its parent's pool threads."""
+    global _chunk_pool
+    _chunk_pool = None
+
+
+os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+@contextmanager
+def _chunk_map():
+    """A map over a pass's chunks that yields the results in chunk order.
+
+    With OpenBLAS at T > 1 threads on entry, the chunks run on the process's
+    pool of T threads at one OpenBLAS thread each, and the count is back at
+    T on exit, also after a raise; otherwise (a one-thread OpenBLAS, no
+    OpenBLAS found) they run one after another in the caller.
+    """
+    blas = openblas_threads()
+    threads = blas.get() if blas else 1
+    if threads <= 1:
+        yield map
+        return
+    pending = deque()
+
+    def pooled(fn, items):
+        pool = _pool(threads)
+        pending.extend(pool.submit(fn, item) for item in items)
+        while pending:
+            result = pending[0].result()   # dropped only once done, so the
+            pending.popleft()              # exit waits for every chunk left
+            yield result
+
+    blas.set(1)
+    try:
+        yield pooled
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)             # no chunk runs on once the pass is over
+        blas.set(threads)
+
+
 def sweep(model, inputs, labels, gradient: bool = False, example_norms: bool = False):
     """(mean loss, error rate, mean Gradient or None) over a whole data set,
     one forward and one softmax pass per chunk. Loss and error are row-wise
     sums over the chunks, so they equal a one-shot pass bit for bit; the
     gradient is the size-weighted chunk mean. With example_norms as well, the
-    Gradient holds every example's masked squared gradient norm."""
-    log_probs, wrong, norms, total = [], 0, [], np.zeros(model.param_count)
-    for chunk in _chunks(len(labels)):
+    Gradient holds every example's masked squared gradient norm.
+
+    The chunks run on as many threads as OpenBLAS runs at entry, each at one
+    OpenBLAS thread, and are summed in chunk order, so the result equals a
+    one-thread serial sweep byte for byte at any thread count."""
+    def chunk_pass(chunk):
         out, cache = forward(model, inputs[chunk])
-        chunk_log_probs, chunk_wrong, probs = _softmax_pass(out, labels[chunk])
-        log_probs.append(chunk_log_probs)
-        wrong += chunk_wrong
-        if gradient:
-            grad = backward(model, cache, labels[chunk], probs, example_norms)
-            total += grad.flat * len(out)
-            norms.append(grad.example_sq_norms)
-        del cache                 # free the chunk's activations before the next
+        log_probs, wrong, probs = _softmax_pass(out, labels[chunk])
+        if not gradient:
+            return log_probs, wrong, None
+        return log_probs, wrong, backward(model, cache, labels[chunk], probs, example_norms)
+
+    log_probs, wrong, norms, total = [], 0, [], np.zeros(model.param_count)
+    with _chunk_map() as chunk_map:
+        for chunk_log_probs, chunk_wrong, grad in chunk_map(chunk_pass, _chunks(len(labels))):
+            log_probs.append(chunk_log_probs)
+            wrong += chunk_wrong
+            if gradient:
+                total += grad.flat * len(chunk_log_probs)
+                norms.append(grad.example_sq_norms)
     n = len(labels)
     loss = float(-np.concatenate(log_probs).mean())
     if not gradient:

@@ -253,30 +253,48 @@ BLAS_SCRIPT = """
 import hashlib
 from dataclasses import replace
 from helpers import acceptance_workload
-from sparselab.harness import StudyPoint, run_trial
-from sparselab.models import ModelSpec
+from sparselab import analysis, nn
+from sparselab.harness import StudyPoint, prune_at_init, resolve_dataset, run_trial
+from sparselab.models import ModelSpec, build_model
 
 mlp = replace(acceptance_workload(), max_steps=96)
 cnn = replace(mlp, algorithm="momentum", max_steps=24,
               dataset={"kind": "synth", "classes": 4, "dims": 784, "per_class": 100,
                        "separation": 6.0, "seed": 7},
               model_spec=ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3))
-for wl, batch_size, metaparams in ((mlp, 512, {"eta_bar": 0.05}),
-                                   (cnn, 64, {"eta_bar": 0.05, "momentum_coeff": 0.9})):
+momentum = {"eta_bar": 0.05, "momentum_coeff": 0.9}
+for wl, batch_size, metaparams in ((mlp, 512, {"eta_bar": 0.05}), (cnn, 64, momentum)):
     for s in (0.0, 0.9):
         digest = hashlib.sha256()
         rec = run_trial(wl, StudyPoint(batch_size, s), metaparams, seed=3,
                         step_hook=lambda model, k: digest.update(model.params.tobytes()))
         print(rec.to_json(), digest.hexdigest())
+
+cnn = replace(cnn, dataset=dict(cnn.dataset, per_class=250))
+for wl, metaparams in ((mlp, {"eta_bar": 0.01}), (cnn, momentum)):
+    train, _ = resolve_dataset(wl)
+    for s in (0.0, 0.9):
+        model = prune_at_init(build_model(wl.model_spec), train, s, wl.data_seed)
+        grad = nn.full_gradient(model, train.inputs, train.labels).flat
+        beta = analysis.estimate_beta(model, train.inputs, train.labels)
+        trace = analysis.trace_smoothness(wl, StudyPoint(16, s), metaparams,
+                                          stride=1, num_steps=1, seed=101)
+        print(len(train), hashlib.sha256(grad.tobytes()).hexdigest(), beta.hex(),
+              repr((trace.entries, trace.losses, trace.beta)))
 """
 
 
 def test_results_do_not_depend_on_the_blas_thread_count():
     # the acceptance-shaped MLP at B=512 is large enough for OpenBLAS to
     # split its matmuls across threads under the default setting; the
-    # cnn-lite trial runs the conv products at the shipped 28x28x1 shape
+    # cnn-lite trial runs the conv products at the shipped 28x28x1 shape.
+    # The whole-split passes run where the thread count once showed: the
+    # MLP's 18,000-sample split ends in a 592-row chunk, and cnn-lite's
+    # 900-sample split is one chunk whose conv2 products have 176,400 rows.
     single = blas_run(1)
-    assert len(single.splitlines()) == 4
+    lines = single.splitlines()
+    assert len(lines) == 8
+    assert [line.split()[0] for line in lines[4:]] == ["18000"] * 2 + ["900"] * 2
     assert blas_run(None) == single
 
 

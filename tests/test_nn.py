@@ -1,6 +1,9 @@
 """Forward/backward engine checks against independent oracles."""
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -356,6 +359,118 @@ def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatc
         sum(g @ g for g in per_sample), rel=1e-12)
     assert np.array_equal(grad.flat, nn.full_gradient(model, x, y).flat)
     assert nn.full_gradient(model, x, y).example_sq_norms is None
+
+
+@pytest.fixture
+def blas():
+    """The process's OpenBLAS thread control; the count is put back after the test."""
+    handle = nn.openblas_threads()
+    if handle is None:
+        pytest.skip("no OpenBLAS to set the thread count of")
+    before = handle.get()
+    yield handle
+    handle.set(before)
+
+
+def chunk_threads(monkeypatch):
+    """The threads that run the chunks' forwards, in the order they start."""
+    seen, real = [], nn.forward
+
+    def spy(model, inputs):
+        seen.append(threading.current_thread())
+        return real(model, inputs)
+
+    monkeypatch.setattr(nn, "forward", spy)
+    return seen
+
+
+def several_chunks(monkeypatch):
+    """The acceptance MLP, masked, on three chunks; the last has 592 rows,
+    where `x.T @ d` once gave other bytes at 1 and 2 OpenBLAS threads."""
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 600)
+    model = build_model(ModelSpec("simple-mlp", (8,), (96, 48), 16, seed=3))
+    apply_mask(model, Mask((np.random.default_rng(4).random(model.param_count) < 0.3) * 1.0, 0.7))
+    rng = np.random.default_rng(5)
+    return model, rng.normal(size=(1792, 8)) * 3.0, rng.integers(0, 16, size=1792)
+
+
+def sweep_bytes(model, x, y):
+    loss, err, grad = nn.sweep(model, x, y, gradient=True, example_norms=True)
+    return as_bytes(loss, err) + grad.flat.tobytes() + grad.example_sq_norms.tobytes()
+
+
+def test_sweep_bytes_equal_at_every_blas_thread_count(monkeypatch, blas):
+    model, x, y = several_chunks(monkeypatch)
+    threads = chunk_threads(monkeypatch)
+    blas.set(1)
+    serial = sweep_bytes(model, x, y)
+    assert threads == [threading.main_thread()] * 3
+    threads.clear()
+    blas.set(2)
+    assert sweep_bytes(model, x, y) == serial
+    assert len(threads) == 3 and threading.main_thread() not in threads
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # more threads than cores, switching often
+    try:
+        blas.set(4)
+        assert sweep_bytes(model, x, y) == serial
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_sweep_puts_the_blas_thread_count_back(monkeypatch, blas):
+    model, x, y = several_chunks(monkeypatch)
+    blas.set(2)
+    nn.sweep(model, x, y, gradient=True)
+    assert blas.get() == 2
+    x[-1, 0] = np.nan             # the last chunk's forward raises
+    with pytest.raises(NumericOverflow):
+        nn.sweep(model, x, y, gradient=True)
+    assert blas.get() == 2
+
+
+def test_forked_child_sweeps_after_a_threaded_sweep_in_the_parent(monkeypatch, blas):
+    model, x, y = several_chunks(monkeypatch)
+    blas.set(2)
+    expected = sweep_bytes(model, x, y)           # the parent's pool now has threads
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: writer.send(sweep_bytes(model, x, y)))
+    child.start()
+    try:
+        got = reader.recv() if reader.poll(60) else None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert got == expected
+    assert child.exitcode == 0
+
+
+def test_sweep_is_serial_without_openblas(monkeypatch):
+    monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 7)
+    model = build_model(ModelSpec("simple-mlp", (4,), (3,), 3, seed=6))
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=(30, 4)), rng.integers(0, 3, size=30)
+    threads = chunk_threads(monkeypatch)
+    with_blas = sweep_bytes(model, x, y)
+    monkeypatch.setattr(nn, "openblas_threads", lambda: None)
+    threads.clear()
+    assert sweep_bytes(model, x, y) == with_blas
+    assert threads == [threading.main_thread()] * 5
+
+
+def test_relu_in_place_equals_maximum_and_masks_by_its_output():
+    x = np.array([[-0.0, 0.0, -1.5, 2.0, np.inf, -np.inf],
+                  [0.0, -0.0, 3.0, -2.0, -np.inf, np.inf]])
+    d = np.array([[-1.0, -2.0, -3.0, 4.0, -5.0, 6.0],
+                  [1.0, 2.0, -3.0, -4.0, 5.0, -6.0]])
+    relu = nn.Relu()
+    out, cache = relu.forward(x.copy(), [])
+    assert out.tobytes() == np.maximum(x, 0.0).tobytes()
+    d_x, _ = relu.backward(d.copy(), cache, [])
+    assert d_x.tobytes() == (d * (x > 0)).tobytes()
 
 
 def test_stale_cache_rejected_after_parameter_change():

@@ -19,7 +19,9 @@ Run it on two checkouts under the same thread settings, for example a
 `git archive` of the parent commit and the working tree, once with
 OPENBLAS_NUM_THREADS=1 and once with the library default. Equal digests
 mean the change moved none of these bits. Each part's own digest goes to
-stderr, to say where two runs part.
+stderr, to say where two runs part. A sweep runs each chunk at one
+OpenBLAS thread, so one checkout gives the same digest under both
+settings.
 """
 
 from __future__ import annotations
