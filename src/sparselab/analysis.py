@@ -178,15 +178,14 @@ def trace_smoothness(workload: Workload, point: StudyPoint, metaparams: dict,
 
     def grad_at(w):
         probe.set_params(w)
-        return nn.sweep(probe, train.inputs, train.labels, gradient=True)[2].flat
+        return nn.full_gradient(probe, train.inputs, train.labels).flat
 
     entries, losses, beta = [], [], None
     for k, w_k, w_k1 in hook.pairs:
         # Masked coordinates are zero in both snapshots, so the probe model
         # sees the pruned objective without re-applying the mask.
         probe.set_params(w_k)
-        loss, _, g0 = nn.sweep(probe, train.inputs, train.labels, gradient=True,
-                               example_norms=(k == 0))
+        loss, _, g0 = nn.sweep(probe, train.inputs, train.labels, example_norms=(k == 0))
         losses.append((k, loss))
         if k == 0:
             beta = _centred_beta(g0)
@@ -212,8 +211,7 @@ def estimate_beta(model, inputs, labels) -> float:
     """Mean squared deviation of single-sample gradients from the full
     gradient: the variance bound at batch size 1. One sweep gives both the
     mean gradient and every sample's masked squared norm."""
-    return _centred_beta(nn.sweep(model, inputs, labels, gradient=True,
-                                  example_norms=True)[2])
+    return _centred_beta(nn.sweep(model, inputs, labels, example_norms=True)[2])
 
 
 def estimate_delta(losses) -> float:

@@ -419,25 +419,24 @@ def aggregate(records: list, cfg: StudyConfig) -> StudyTable:
 # ---------------------------------------------------------------------------
 
 def load_records(path) -> dict:
-    """Existing records keyed by trial key; tolerates a torn final line.
+    """Existing records keyed by trial key.
 
-    Records of another schema version are dropped, so their trials run
-    again under the current protocol.
+    A line that is not a record (a torn append from an interrupted run,
+    bytes that are not UTF-8, JSON of another shape) and records of another
+    schema version are dropped, so their trials run again under the
+    current protocol.
     """
     records = {}
     if not os.path.exists(path):
         return records
-    with open(path) as f:
+    with open(path, "rb") as f:
         for line in f:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                rec = TrialRecord.from_json(line)
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue    # torn append from an interrupted run: redo it
-            if rec.schema == RECORD_SCHEMA:
-                records[rec.trial_key] = rec
+                rec = TrialRecord.from_json(line.decode())
+                if rec.schema == RECORD_SCHEMA:
+                    records[rec.trial_key] = rec
+            except (KeyError, TypeError, ValueError):    # JSON and UTF-8 errors too
+                continue
     return records
 
 

@@ -9,10 +9,11 @@ unbiased estimate of the full-data gradient under i.i.d. sampling, and
 stops at the first layer with parameters, whose input gradient is unused.
 One softmax pass per step or sweep chunk gives the loss, the error and
 backward's starting signal; the evaluation pass is forward plus argmax.
-A sweep over a whole data set runs its chunks on one pool of threads, as
-many as OpenBLAS runs, each chunk at one OpenBLAS thread, and sums them in
-chunk order: its bytes are those of a one-thread serial pass at any
-thread count.
+A sweep gives the loss, the error and the mean gradient over a whole data
+set. It runs its chunks on the process's pool of threads, as many as
+OpenBLAS runs and kept from one sweep to the next, each chunk at one
+OpenBLAS thread, and sums them in chunk order: its bytes are those of a
+one-thread serial pass at any thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import glob
 import os
 from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -354,54 +354,36 @@ def openblas_threads() -> OpenBlasThreads | None:
     return None
 
 
-_chunk_pool = None                # (threads, ThreadPoolExecutor), made by the first threaded sweep
-
-
+@functools.lru_cache(maxsize=1)
 def _pool(threads):
-    global _chunk_pool
-    if _chunk_pool is None or _chunk_pool[0] != threads:
-        if _chunk_pool is not None:
-            _chunk_pool[1].shutdown()
-        _chunk_pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="sweep"))
-    return _chunk_pool[1]
+    """The process's pool of sweep threads, made by the first threaded sweep
+    and kept for the next; a new thread count replaces it."""
+    return ThreadPoolExecutor(threads, thread_name_prefix="sweep")
 
 
-def _drop_pool_in_child():
-    """A forked child has none of its parent's pool threads."""
-    global _chunk_pool
-    _chunk_pool = None
+os.register_at_fork(after_in_child=_pool.cache_clear)   # a forked child has no pool threads
 
 
-os.register_at_fork(after_in_child=_drop_pool_in_child)
+def _in_chunk_order(fn, chunks):
+    """fn of each chunk, yielded in chunk order.
 
-
-@contextmanager
-def _chunk_map():
-    """A map over a pass's chunks that yields the results in chunk order.
-
-    With OpenBLAS at T > 1 threads on entry, the chunks run on the process's
-    pool of T threads at one OpenBLAS thread each, and the count is back at
-    T on exit, also after a raise; otherwise (a one-thread OpenBLAS, no
-    OpenBLAS found) they run one after another in the caller.
+    With OpenBLAS at T > 1 threads, the chunks run on the process's pool of
+    T threads at one OpenBLAS thread each, and the count is back at T once
+    the generator ends, also after a raise; otherwise (a one-thread
+    OpenBLAS, no OpenBLAS found) they run one after another in the caller.
     """
     blas = openblas_threads()
     threads = blas.get() if blas else 1
     if threads <= 1:
-        yield map
+        yield from map(fn, chunks)
         return
-    pending = deque()
-
-    def pooled(fn, items):
-        pool = _pool(threads)
-        pending.extend(pool.submit(fn, item) for item in items)
-        while pending:
-            result = pending[0].result()   # dropped only once done, so the
-            pending.popleft()              # exit waits for every chunk left
-            yield result
-
     blas.set(1)
+    pending = deque()
     try:
-        yield pooled
+        pending.extend(_pool(threads).submit(fn, chunk) for chunk in chunks)
+        while pending:
+            yield pending[0].result()     # pending while it runs, so the
+            pending.popleft()             # wait below covers every chunk left
     finally:
         for future in pending:
             future.cancel()
@@ -409,12 +391,12 @@ def _chunk_map():
         blas.set(threads)
 
 
-def sweep(model, inputs, labels, gradient: bool = False, example_norms: bool = False):
-    """(mean loss, error rate, mean Gradient or None) over a whole data set,
-    one forward and one softmax pass per chunk. Loss and error are row-wise
-    sums over the chunks, so they equal a one-shot pass bit for bit; the
-    gradient is the size-weighted chunk mean. With example_norms as well, the
-    Gradient holds every example's masked squared gradient norm.
+def sweep(model, inputs, labels, example_norms: bool = False):
+    """(mean loss, error rate, mean Gradient) over a whole data set, one
+    forward, softmax pass and backward per chunk. Loss and error are
+    row-wise sums over the chunks, so they equal a one-shot pass bit for
+    bit; the gradient is the size-weighted chunk mean. With example_norms,
+    the Gradient also holds every example's masked squared gradient norm.
 
     The chunks run on as many threads as OpenBLAS runs at entry, each at one
     OpenBLAS thread, and are summed in chunk order, so the result equals a
@@ -422,23 +404,17 @@ def sweep(model, inputs, labels, gradient: bool = False, example_norms: bool = F
     def chunk_pass(chunk):
         out, cache = forward(model, inputs[chunk])
         log_probs, wrong, probs = _softmax_pass(out, labels[chunk])
-        if not gradient:
-            return log_probs, wrong, None
         return log_probs, wrong, backward(model, cache, labels[chunk], probs, example_norms)
 
     log_probs, wrong, norms, total = [], 0, [], np.zeros(model.param_count)
-    with _chunk_map() as chunk_map:
-        for chunk_log_probs, chunk_wrong, grad in chunk_map(chunk_pass, _chunks(len(labels))):
-            log_probs.append(chunk_log_probs)
-            wrong += chunk_wrong
-            if gradient:
-                total += grad.flat * len(chunk_log_probs)
-                norms.append(grad.example_sq_norms)
+    for chunk_log_probs, chunk_wrong, grad in _in_chunk_order(chunk_pass, _chunks(len(labels))):
+        log_probs.append(chunk_log_probs)
+        wrong += chunk_wrong
+        total += grad.flat * len(chunk_log_probs)
+        norms.append(grad.example_sq_norms)
     n = len(labels)
-    loss = float(-np.concatenate(log_probs).mean())
-    if not gradient:
-        return loss, wrong / n, None
-    return loss, wrong / n, Gradient(total / n, np.concatenate(norms) if example_norms else None)
+    return (float(-np.concatenate(log_probs).mean()), wrong / n,
+            Gradient(total / n, np.concatenate(norms) if example_norms else None))
 
 
 def error_rate(model, inputs, labels) -> float:
@@ -451,4 +427,4 @@ def error_rate(model, inputs, labels) -> float:
 
 def full_gradient(model, inputs, labels) -> Gradient:
     """Exact mean gradient over an entire data set."""
-    return sweep(model, inputs, labels, gradient=True)[2]
+    return sweep(model, inputs, labels)[2]

@@ -198,7 +198,7 @@ def test_trace_losses_align_with_measurement_steps():
 
 def training_losses(wl, point, metaparams, steps, num_steps, seed):
     """The oracle: the whole-training-set loss at `steps` of the run a
-    trace makes, taken by a forward sweep in a step hook."""
+    trace makes, taken by a sweep in a step hook."""
     fixed = replace(wl, goal_error=0.0, max_steps=num_steps, eval_interval=num_steps + 1)
     train, _ = resolve_dataset(wl)
     losses = []

@@ -558,7 +558,10 @@ def test_aggregate_is_order_independent():
 def test_load_records_ignores_garbage_lines(tmp_path):
     path = tmp_path / "records.jsonl"
     rec = TrialRecord("k1", 8, 0.0, 0, ETA, 0, COMPLETE, 32, [(16, 0.5)], 1.0)
-    path.write_text(rec.to_json() + "\n{not json\n")
+    # torn JSON, a history that is not a list of pairs, a byte that is not UTF-8
+    garbage = [b"{not json", b'{"history": "x"}', b'{"history": [[1,2,3]]}',
+               b'{"trial_key": "\xff"}']
+    path.write_bytes(b"\n".join([rec.to_json().encode(), *garbage, b""]))
     loaded = load_records(path)
     assert set(loaded) == {"k1"}
     assert loaded["k1"].history == [(16, 0.5)]

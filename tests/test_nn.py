@@ -74,7 +74,7 @@ def test_backward_forms_no_input_gradient_up_to_the_first_layer_with_parameters(
     x = rng.normal(size=(5, *spec.input_shape))
     y = rng.integers(0, spec.classes, size=5)
     for run in (lambda: nn.batch_gradient(model, x, y),
-                lambda: nn.sweep(model, x, y, gradient=True, example_norms=True)):
+                lambda: nn.sweep(model, x, y, example_norms=True)):
         calls.clear()
         run()
         assert calls == [(k, k > first) for k in range(len(model.layers) - 1, first - 1, -1)]
@@ -285,10 +285,10 @@ def test_sweep_in_chunks_equals_one_shot_forward(monkeypatch):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(30, 4))
     y = rng.integers(0, 3, size=30)
-    loss, err, grad = nn.sweep(model, x, y, gradient=True)
+    loss, err, grad = nn.sweep(model, x, y)
     assert (loss, err) == nn.loss_and_error(nn.forward(model, x)[0], y)
-    assert nn.sweep(model, x, y)[:2] == (loss, err)
-    assert nn.sweep(model, x, y)[2] is None
+    assert nn.sweep(model, x, y, example_norms=True)[:2] == (loss, err)
+    assert grad.example_sq_norms is None
     assert np.array_equal(nn.full_gradient(model, x, y).flat, grad.flat)
     _, _, whole = nn.batch_gradient(model, x, y)
     np.testing.assert_allclose(grad.flat, whole.flat, atol=1e-14)
@@ -320,8 +320,8 @@ def test_one_softmax_pass_per_chunk_equals_one_pass_over_joined_logits(monkeypat
     shifted = joined - joined.max(axis=1, keepdims=True)      # the reference expressions
     reference = -(shifted[np.arange(n), y] - np.log(np.exp(shifted).sum(axis=1))).mean()
     assert as_bytes(reference, (joined.argmax(axis=1) != y).mean()) == expected
-    for gradient in (False, True):
-        loss, err, _ = nn.sweep(model, x, y, gradient=gradient)
+    for example_norms in (False, True):
+        loss, err, _ = nn.sweep(model, x, y, example_norms=example_norms)
         assert as_bytes(loss, err) == expected
     assert as_bytes(nn.error_rate(model, x, y)) == as_bytes(nn.sweep(model, x, y)[1])
     loss, err, _ = nn.batch_gradient(model, x, y)
@@ -338,7 +338,7 @@ def test_smallest_cnn_lite_gradients_match_finite_differences(monkeypatch, side)
     y = rng.integers(0, 3, size=5)
     oracle = fd_gradient(model, x, y)
     assert max_relative_error(nn.batch_gradient(model, x, y)[2].flat, oracle) < 1e-5
-    assert max_relative_error(nn.sweep(model, x, y, gradient=True)[2].flat, oracle) < 1e-5
+    assert max_relative_error(nn.sweep(model, x, y)[2].flat, oracle) < 1e-5
 
 
 def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatch):
@@ -350,7 +350,7 @@ def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatc
     rng = np.random.default_rng(11)
     x = rng.normal(size=(30, 4))
     y = rng.integers(0, 3, size=30)
-    grad = nn.sweep(model, x, y, gradient=True, example_norms=True)[2]
+    grad = nn.sweep(model, x, y, example_norms=True)[2]
     per_sample = [nn.batch_gradient(model, x[i:i + 1], y[i:i + 1])[2].flat
                   for i in range(30)]
     np.testing.assert_allclose(grad.example_sq_norms,
@@ -395,7 +395,7 @@ def several_chunks(monkeypatch):
 
 
 def sweep_bytes(model, x, y):
-    loss, err, grad = nn.sweep(model, x, y, gradient=True, example_norms=True)
+    loss, err, grad = nn.sweep(model, x, y, example_norms=True)
     return as_bytes(loss, err) + grad.flat.tobytes() + grad.example_sq_norms.tobytes()
 
 
@@ -421,18 +421,31 @@ def test_sweep_bytes_equal_at_every_blas_thread_count(monkeypatch, blas):
 def test_sweep_puts_the_blas_thread_count_back(monkeypatch, blas):
     model, x, y = several_chunks(monkeypatch)
     blas.set(2)
-    nn.sweep(model, x, y, gradient=True)
+    nn.sweep(model, x, y)
     assert blas.get() == 2
     x[-1, 0] = np.nan             # the last chunk's forward raises
     with pytest.raises(NumericOverflow):
-        nn.sweep(model, x, y, gradient=True)
+        nn.sweep(model, x, y)
     assert blas.get() == 2
+
+
+def test_successive_sweeps_run_on_the_same_pool_threads(monkeypatch, blas):
+    model, x, y = several_chunks(monkeypatch)
+    threads = chunk_threads(monkeypatch)
+    blas.set(2)
+    nn.sweep(model, x, y)
+    first, alive = set(threads), set(threading.enumerate())
+    threads.clear()
+    nn.sweep(model, x, y)
+    assert threading.main_thread() not in first | set(threads)
+    # no thread is made for the second sweep: a pool per sweep cost trace-mlp 5-10%
+    assert set(threads) <= alive and len(first | set(threads)) <= 2
 
 
 def test_forked_child_sweeps_after_a_threaded_sweep_in_the_parent(monkeypatch, blas):
     model, x, y = several_chunks(monkeypatch)
     blas.set(2)
-    expected = sweep_bytes(model, x, y)           # the parent's pool now has threads
+    expected = sweep_bytes(model, x, y)   # the parent's pool threads are alive; the child has none
     ctx = multiprocessing.get_context("fork")
     reader, writer = ctx.Pipe(duplex=False)
     child = ctx.Process(target=lambda: writer.send(sweep_bytes(model, x, y)))
