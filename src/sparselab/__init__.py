@@ -13,6 +13,6 @@ from .harness import (StudyConfig, StudyPoint, StudyTable, TrialRecord,
 from .models import Model, ModelSpec, build_model
 from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, schedule_eta, step
 from .prune import Mask, apply_mask, connection_sensitivity, topk_mask
-from .quasirand import SearchSpace, SobolState, map_to_space, sobol_points
+from .quasirand import SearchSpace, map_to_space, sobol_points
 
 __version__ = "0.1.0"

@@ -1,12 +1,16 @@
-"""Data ingestion: big-endian IDX files and synthetic Gaussian blobs.
+"""Data ingestion: big-endian IDX files, synthetic Gaussian blobs and the
+seeded validation split.
 
-The synthetic generator exists so the measurement protocol can run
+Both files of an IDX pair go through one reader, which checks the magic,
+one size per axis and the payload length, and names the failing byte
+offset. The synthetic generator exists so the measurement protocol can run
 end-to-end in seconds; separation controls how far apart the class
 means sit (in units of the within-class standard deviation).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,6 +20,7 @@ from .exceptions import ConfigError, IdxFormatError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+VALIDATION_FRACTION = 0.1
 
 
 @dataclass
@@ -38,62 +43,50 @@ class Dataset:
         return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
 
 
-def split_validation(dataset: Dataset, fraction: float = 0.1, seed: int = 0):
+def split_validation(dataset: Dataset, seed: int):
     """Fixed, seeded split: returns (train, validation).
 
-    The validation slice is a random `fraction` of the data, identical for
-    every trial that shares the seed.
+    The validation slice is a random VALIDATION_FRACTION of the data,
+    identical for every trial that shares the seed.
     """
     n = len(dataset)
-    n_val = max(1, int(round(n * fraction)))
+    n_val = max(1, int(round(n * VALIDATION_FRACTION)))
     perm = np.random.default_rng(seed).permutation(n)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 
 
-def _read_be32(blob: bytes, offset: int, what: str) -> int:
-    if offset + 4 > len(blob):
+def _idx_array(path, magic: int, what: str) -> np.ndarray:
+    """One IDX file of unsigned bytes: a big-endian magic whose low byte is
+    the rank, one big-endian size per axis, then exactly the payload."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    rank = magic & 0xFF
+    start = 4 + 4 * rank
+    # the header's whole 32-bit words that the file holds
+    words = struct.unpack_from(f">{min(len(blob), start) // 4}I", blob)
+    if words and words[0] != magic:
         raise IdxFormatError(
-            f"truncated {what}: needed 4 bytes at offset {offset}, "
+            f"bad {what} magic 0x{words[0]:08x} at byte 0 (want 0x{magic:08x})")
+    if len(words) < 1 + rank:
+        raise IdxFormatError(
+            f"truncated {what} header: needed 4 bytes at offset {4 * len(words)}, "
             f"file ends at {len(blob)}")
-    return struct.unpack(">I", blob[offset:offset + 4])[0]
+    expected = math.prod(words[1:])
+    if len(blob) - start != expected:
+        raise IdxFormatError(
+            f"{what} payload: expected {expected} bytes from byte {start}, "
+            f"got {len(blob) - start}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(words[1:])
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair; pixels are scaled to [0, 1]."""
-    with open(images_path, "rb") as f:
-        blob = f.read()
-    magic = _read_be32(blob, 0, "image header")
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxFormatError(
-            f"bad image magic 0x{magic:08x} at byte 0 (want 0x{IDX_IMAGES_MAGIC:08x})")
-    count = _read_be32(blob, 4, "image header")
-    rows = _read_be32(blob, 8, "image header")
-    cols = _read_be32(blob, 12, "image header")
-    expected = count * rows * cols
-    if len(blob) - 16 != expected:
-        raise IdxFormatError(
-            f"image payload: expected {expected} bytes from byte 16, "
-            f"got {len(blob) - 16}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as f:
-        blob = f.read()
-    magic = _read_be32(blob, 0, "label header")
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxFormatError(
-            f"bad label magic 0x{magic:08x} at byte 0 (want 0x{IDX_LABELS_MAGIC:08x})")
-    n_labels = _read_be32(blob, 4, "label header")
-    if len(blob) - 8 != n_labels:
-        raise IdxFormatError(
-            f"label payload: expected {n_labels} bytes from byte 8, "
-            f"got {len(blob) - 8}")
-    if n_labels != count:
-        raise IdxFormatError(f"{count} images but {n_labels} labels")
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=8).astype(np.int64)
-
-    num_classes = int(labels.max()) + 1 if n_labels else 0
-    return Dataset(images[..., None], labels, num_classes)
+    images = _idx_array(images_path, IDX_IMAGES_MAGIC, "image")
+    labels = _idx_array(labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
+    if len(labels) != len(images):
+        raise IdxFormatError(f"{len(images)} images but {len(labels)} labels")
+    num_classes = int(labels.max()) + 1 if len(labels) else 0
+    return Dataset((images.astype(np.float64) / 255.0)[..., None], labels, num_classes)
 
 
 def synth_dataset(classes: int, dims: int, per_class: int, separation: float,

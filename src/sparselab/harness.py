@@ -7,8 +7,8 @@ split every `eval_interval` steps. Its outcome is exactly one of:
 
 * complete    -- some evaluation reached the goal error within budget
 * incomplete  -- budget exhausted without reaching the goal
-* infeasible  -- training diverged (non-finite loss, or loss blowing up
-                 past 1e4x its initial value)
+* infeasible  -- training diverged (loss blowing up past 1e4x its initial
+                 value, or a non-finite value in a step or an evaluation)
 
 Steps-to-result K* for a study point is the lowest steps_to_goal over
 its complete trials; a tie goes to the lowest trial index (Sobol order).
@@ -26,7 +26,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 
 import numpy as np
@@ -49,6 +49,11 @@ SALIENCY_BATCH = 128
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 INFEASIBLE = "infeasible"
+
+# The types a record field's JSON value may take, by the field's annotation
+# (a bool is no number); JSON writes an int-valued float such as 0 as an int.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "dict": dict,
+               "list": list, "int | None": (int, type(None))}
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,18 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TrialRecord":
+        """A record line; a wrong-typed field is a TypeError, an unknown status a ValueError."""
         d = json.loads(text)
         d["history"] = [(s, e) for s, e in d["history"]]
-        return cls(**d)
+        rec = cls(**d)
+        typed = [(getattr(rec, f.name), f.type) for f in fields(cls)]
+        typed += [(v, kind) for pair in rec.history for v, kind in zip(pair, ("int", "float"))]
+        for value, kind in typed:
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise TypeError(f"record holds {value!r} where {kind} is due")
+        if rec.status not in (COMPLETE, INCOMPLETE, INFEASIBLE):
+            raise ValueError(f"unknown trial status {rec.status!r}")
+        return rec
 
 
 @dataclass
@@ -361,18 +375,18 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
                 status = INFEASIBLE
                 break
             step(model, grad, config, state)
+            if step_hook is not None:
+                step_hook(model, k)
+            if k % workload.eval_interval == 0:
+                err = nn.error_rate(model, val.inputs, val.labels)
+                history.append((k, err))
+                if err <= workload.goal_error:
+                    status = COMPLETE
+                    steps_to_goal = k
+                    break
         except NumericOverflow:
             status = INFEASIBLE
             break
-        if step_hook is not None:
-            step_hook(model, k)
-        if k % workload.eval_interval == 0:
-            err = nn.error_rate(model, val.inputs, val.labels)
-            history.append((k, err))
-            if err <= workload.goal_error:
-                status = COMPLETE
-                steps_to_goal = k
-                break
 
     if np.any(model.params[model.mask == 0.0] != 0.0):
         raise RuntimeError(f"trial {key}: mask violated during training")
@@ -422,9 +436,9 @@ def load_records(path) -> dict:
     """Existing records keyed by trial key.
 
     A line that is not a record (a torn append from an interrupted run,
-    bytes that are not UTF-8, JSON of another shape) and records of another
-    schema version are dropped, so their trials run again under the
-    current protocol.
+    bytes that are not UTF-8, JSON of another shape or with wrong-typed
+    fields) and records of another schema version are dropped, so their
+    trials run again under the current protocol.
     """
     records = {}
     if not os.path.exists(path):

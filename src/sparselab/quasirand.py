@@ -2,9 +2,10 @@
 
 Direction numbers come from the standard primitive-polynomial tables,
 embedded below for the first 8 dimensions (metaparameter searches here
-never need more than 3). Points are produced in Gray-code order with
-32-bit resolution; the all-zeros point at index 0 is skipped because
-mapping it would pin a trial at the exact lower bound of every range.
+never need more than 3). A draw takes its points all at once, in
+Gray-code order with 32-bit resolution; the all-zeros point at index 0 is
+skipped because mapping it would pin a trial at the exact lower bound of
+every range.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from .exceptions import ConfigError
 
 _BITS = 32
-_SCALE = float(2 ** _BITS)
 
 # (degree s, coefficient bits a_1..a_{s-1} packed msb-first, initial m values)
 # for Sobol dimensions 2..8; dimension 1 is the plain van der Corput sequence.
@@ -51,36 +51,26 @@ def _direction_numbers(dim: int) -> list:
     return [m[k] << (_BITS - k - 1) for k in range(_BITS)]
 
 
-class SobolState:
-    """Incremental Gray-code Sobol generator over [0,1)^d."""
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ConfigError("Sobol dimension must be >= 1")
-        if dimension > MAX_DIMENSION:
-            raise ConfigError(
-                f"direction numbers provisioned up to dimension {MAX_DIMENSION}, "
-                f"got {dimension}")
-        self.dimension = dimension
-        self.directions = [_direction_numbers(d + 1) for d in range(dimension)]
-        self.index = 1                      # underlying index of the next point
-        self._state = [0] * dimension
-
-    def next_point(self) -> np.ndarray:
-        n = self.index - 1
-        c = (~n & (n + 1)).bit_length()     # lowest zero bit of n, 1-based
-        if c > _BITS:
-            raise ConfigError("Sobol sequence exhausted at 32-bit resolution")
-        for d in range(self.dimension):
-            self._state[d] ^= self.directions[d][c - 1]
-        self.index += 1
-        return np.array([s / _SCALE for s in self._state])
-
-
 def sobol_points(dimension: int, count: int) -> np.ndarray:
-    """First `count` points of a fresh sequence, shape (count, dimension)."""
-    state = SobolState(dimension)
-    return np.array([state.next_point() for _ in range(count)])
+    """First `count` points of the sequence, shape (count, dimension).
+
+    Row n is row n-1 (the skipped origin, for n = 0) with the direction
+    numbers of the lowest zero bit of n xored in, so the whole draw is one
+    running xor.
+    """
+    if dimension < 1:
+        raise ConfigError("Sobol dimension must be >= 1")
+    if dimension > MAX_DIMENSION:
+        raise ConfigError(
+            f"direction numbers provisioned up to dimension {MAX_DIMENSION}, "
+            f"got {dimension}")
+    if count >= 2 ** _BITS:           # before np.arange, which would take 32 GB
+        raise ConfigError("Sobol sequence exhausted at 32-bit resolution")
+    directions = np.array([_direction_numbers(d + 1) for d in range(dimension)],
+                          dtype=np.uint64).T                  # (bit, dimension)
+    n = np.arange(count, dtype=np.uint64)
+    lowest_zero_bit = np.frexp(~n & (n + 1))[1] - 1     # frexp(2**b) = (0.5, b + 1)
+    return np.bitwise_xor.accumulate(directions[lowest_zero_bit], axis=0) / 2.0 ** _BITS
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,17 @@ def test_rerun_runs_again_exactly_the_trials_whose_config_changed(tmp_path):
     assert trials_run() == 0
 
 
+def test_a_record_with_a_wrong_typed_field_runs_again(tmp_path):
+    assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
+    path = tmp_path / "records.jsonl"
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"steps_to_goal": 16' in line)
+    edited = lines[i].replace('"steps_to_goal": 16', '"steps_to_goal": "16"')
+    path.write_text("\n".join(lines[:i] + [edited] + lines[i + 1:]) + "\n")
+    assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
+    assert path.read_text().splitlines() == lines[:i] + [edited] + lines[i + 1:] + [lines[i]]
+
+
 def test_including_config_varies_the_study(tmp_path):
     variant = tmp_path / "variant.json"
     variant.write_text(json.dumps({"include": SMOKE, "budget": 2,

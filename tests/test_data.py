@@ -121,11 +121,11 @@ def test_synth_validation():
 
 def test_split_validation_is_fixed_and_seeded():
     ds = synth_dataset(classes=3, dims=4, per_class=100, separation=2.0, seed=3)
-    t1, v1 = split_validation(ds, 0.1, seed=5)
-    t2, v2 = split_validation(ds, 0.1, seed=5)
+    t1, v1 = split_validation(ds, seed=5)
+    t2, v2 = split_validation(ds, seed=5)
     assert len(v1) == 30 and len(t1) == 270
     assert np.array_equal(v1.inputs, v2.inputs)
-    _, v3 = split_validation(ds, 0.1, seed=6)
+    _, v3 = split_validation(ds, seed=6)
     assert not np.array_equal(v1.inputs, v3.inputs)
 
 

@@ -2,6 +2,7 @@
 
 import ctypes
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from helpers import smoke_workload
 from sparselab import harness, nn
 from sparselab.analysis import estimate_beta, trace_smoothness
+from sparselab.config import load_config
 from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
@@ -60,6 +62,16 @@ def test_huge_learning_rate_is_infeasible():
     rec = run_trial(smoke_workload(), StudyPoint(16, 0.0), {"eta_bar": 1e6}, seed=1)
     assert rec.status == INFEASIBLE
     assert rec.steps_to_goal is None
+
+
+def test_an_evaluation_that_overflows_ends_the_trial_infeasible():
+    # At eta 1e200 the first step leaves finite weights whose forward pass
+    # overflows, and the evaluation after that step is the first to run it.
+    wl = replace(smoke_workload(), eval_interval=1)
+    with np.errstate(over="ignore"):
+        rec = run_trial(wl, StudyPoint(16, 0.0), {"eta_bar": 1e200}, seed=1)
+    assert rec.status == INFEASIBLE
+    assert rec.history == [] and rec.steps_to_goal is None
 
 
 def test_statuses_are_exclusive_and_total():
@@ -369,6 +381,28 @@ def test_trial_key_is_stable():
     assert key != trial_key(smoke_workload(), point, ETA, 12, 3)
 
 
+# sha256 prefixes over the newline-joined planned keys of each shipped
+# config. A moved Sobol bit or key makes every results directory run again.
+SHIPPED_KEYS = {
+    "full/cifar10.json": (5600, "74fa80349c1d02f7"),
+    "full/fashion_mnist.json": (5600, "6b39244426ee5a20"),
+    "full/mnist.json": (5600, "5d867e8712b02fdd"),
+    "scaling_study.json": (360, "374aa25affc4981a"),
+    "smoke.json": (9, "67ec877e8e1521b4"),
+}
+
+
+def test_planned_trial_keys_of_the_shipped_configs_are_pinned():
+    root = Path(__file__).resolve().parent.parent / "configs"
+    got = {}
+    for path in sorted(root.rglob("*.json")):
+        if path.name != "base.json":
+            keys = [key for *_, key in planned_trials(load_config(path))]
+            digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()[:16]
+            got[path.relative_to(root).as_posix()] = (len(keys), digest)
+    assert got == SHIPPED_KEYS
+
+
 def test_trial_key_covers_every_value_run_trial_takes():
     wl, point, seed, index = smoke_workload(), StudyPoint(16, 0.5), 11, 3
     key = trial_key(wl, point, ETA, seed, index)
@@ -561,7 +595,18 @@ def test_load_records_ignores_garbage_lines(tmp_path):
     # torn JSON, a history that is not a list of pairs, a byte that is not UTF-8
     garbage = [b"{not json", b'{"history": "x"}', b'{"history": [[1,2,3]]}',
                b'{"trial_key": "\xff"}']
-    path.write_bytes(b"\n".join([rec.to_json().encode(), *garbage, b""]))
+    # records of the right shape with a field of the wrong type or value
+    wrong = [{"steps_to_goal": "16"}, {"steps_to_goal": 16.0}, {"status": "done"},
+             {"batch_size": 8.0}, {"batch_size": True}, {"sparsity": False},
+             {"final_loss": None}, {"seed": "0"}, {"metaparams": [0.1]},
+             {"history": [["16", 0.5]]}, {"history": [[16, None]]}]
+    lines = [rec.to_json().encode(), *garbage]
+    lines += [json.dumps({**json.loads(rec.to_json()), **w,
+                          "trial_key": f"w{i}"}).encode() for i, w in enumerate(wrong)]
+    # JSON writes an int-valued float as an int
+    lines.append(json.dumps({**json.loads(rec.to_json()), "trial_key": "k2",
+                             "sparsity": 0, "final_loss": 1}).encode())
+    path.write_bytes(b"\n".join([*lines, b""]))
     loaded = load_records(path)
-    assert set(loaded) == {"k1"}
+    assert set(loaded) == {"k1", "k2"}
     assert loaded["k1"].history == [(16, 0.5)]

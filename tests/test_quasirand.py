@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselab.exceptions import ConfigError
-from sparselab.quasirand import (MAX_DIMENSION, SearchSpace, SobolState,
-                                 map_to_space, sobol_points)
+from sparselab.quasirand import (MAX_DIMENSION, SearchSpace, map_to_space,
+                                 sobol_points)
 
 # Independent oracle: direct (non-incremental) construction x_n = XOR of
 # direction numbers over the set bits of gray(n), with the direction-number
@@ -20,6 +20,9 @@ ORACLE_POLYS = {
     3: (2, 1, [1, 3]),
     4: (3, 1, [1, 3, 1]),
     5: (3, 2, [1, 1, 1]),
+    6: (4, 1, [1, 1, 3, 3]),
+    7: (4, 4, [1, 3, 5, 13]),
+    8: (5, 2, [1, 1, 5, 5, 17]),
 }
 
 
@@ -54,15 +57,14 @@ def oracle_point(n, dims, bits=32):
 
 
 def test_dim1_first_three_points():
-    state = SobolState(1)
-    values = [float(state.next_point()[0]) for _ in range(3)]
-    assert values == [0.5, 0.75, 0.25]
+    assert sobol_points(1, 3)[:, 0].tolist() == [0.5, 0.75, 0.25]
 
 
-@pytest.mark.parametrize("dims", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", range(1, MAX_DIMENSION + 1))
 def test_first_64_points_match_direct_construction_oracle(dims):
-    points = sobol_points(dims, 64)
-    for n in range(1, 65):
+    # 1,024 points, more than the name says, at every provisioned dimension
+    points = sobol_points(dims, 1024)
+    for n in range(1, 1025):
         assert np.array_equal(points[n - 1], oracle_point(n, dims))
 
 
@@ -95,18 +97,30 @@ def test_sequence_is_deterministic():
     a = sobol_points(3, 100)
     b = sobol_points(3, 100)
     assert np.array_equal(a, b)
-    state = SobolState(3)
-    for row in a:
-        assert np.array_equal(state.next_point(), row)
-    assert state.index == 101
 
 
 def test_dimension_limits():
-    SobolState(MAX_DIMENSION)
+    assert sobol_points(MAX_DIMENSION, 1).shape == (1, MAX_DIMENSION)
     with pytest.raises(ConfigError):
-        SobolState(MAX_DIMENSION + 1)
+        sobol_points(MAX_DIMENSION + 1, 1)
     with pytest.raises(ConfigError):
-        SobolState(0)
+        sobol_points(0, 1)
+
+
+def test_count_is_checked_against_32_bits_before_any_allocation(monkeypatch):
+    # Index n needs a zero bit within 32 bits, so 2**32 - 1 points is the
+    # most a draw can give; np.arange(2**32) alone would take 32 GB.
+    class Allocated(Exception):
+        pass
+
+    def arange(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "arange", arange)
+    with pytest.raises(Allocated):
+        sobol_points(1, 2 ** 32 - 1)
+    with pytest.raises(ConfigError, match="exhausted"):
+        sobol_points(1, 2 ** 32)
 
 
 def test_map_endpoints_hit_lower_bound_exactly():
