@@ -36,7 +36,7 @@ from .data import Dataset, load_idx, split_validation, synth_dataset
 from .exceptions import ConfigError, NumericOverflow
 from .models import ModelSpec, build_model
 from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, step
-from .prune import apply_mask, connection_sensitivity, topk_mask
+from .prune import prune_at_init
 from .quasirand import draw_assignments
 
 # v2: pruned nets start with each unit's kept weights rescaled to the
@@ -44,7 +44,6 @@ from .quasirand import draw_assignments
 # v3: the trial key covers the whole trial, so a v2 key may name another.
 RECORD_SCHEMA = 3
 DIVERGENCE_FACTOR = 1e4
-SALIENCY_BATCH = 128
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -110,12 +109,14 @@ class TrialRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "TrialRecord":
-        """A record line; a wrong-typed field is a TypeError, an unknown status a ValueError."""
+        """A record line; a wrong-typed value is a TypeError, an unknown status a ValueError."""
         d = json.loads(text)
         d["history"] = [(s, e) for s, e in d["history"]]
         rec = cls(**d)
         typed = [(getattr(rec, f.name), f.type) for f in fields(cls)]
         typed += [(v, kind) for pair in rec.history for v, kind in zip(pair, ("int", "float"))]
+        if isinstance(rec.metaparams, dict):       # a non-dict fails as a field
+            typed += [(v, "float") for v in rec.metaparams.values()]
         for value, kind in typed:
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
                 raise TypeError(f"record holds {value!r} where {kind} is due")
@@ -284,38 +285,6 @@ def _shaped(inputs: np.ndarray, spec: ModelSpec) -> np.ndarray:
     return inputs.reshape(want)
 
 
-def prune_at_init(model, train: Dataset, sparsity: float, seed: int):
-    """Mask the model before any training step; no-op for sparsity 0.
-
-    The mask is the global top-k of connection sensitivity at the dense
-    initialization. After masking, each unit's kept incoming weights are
-    rescaled so that together they have the L2 norm the unit's full
-    weight vector had at initialization (a unit is an output column of an
-    affine weight or an output channel of a conv kernel). This keeps the
-    per-unit signal energy that He-uniform init fixes, so a pruned net
-    differs from the dense one in its connectivity, not in its scale.
-    Biases and units with no kept weight are left as they are.
-    """
-    if sparsity == 0.0:
-        return model
-    rng = np.random.default_rng([seed, 0x5A11])
-    take = min(SALIENCY_BATCH, len(train))
-    idx = rng.choice(len(train), size=take, replace=False)
-    x = _shaped(train.inputs[idx], model.spec)
-    saliency = connection_sensitivity(model, x, train.labels[idx])
-    units = [views[0].reshape(-1, views[0].shape[-1])     # (fan_in, units)
-             for layer, views in zip(model.layers, model.param_views())
-             if layer.param_shapes]
-    dense_norms = [np.linalg.norm(u, axis=0) for u in units]
-    apply_mask(model, topk_mask(saliency, sparsity))
-    for u, dense_norm in zip(units, dense_norms):
-        kept_norm = np.linalg.norm(u, axis=0)
-        live = kept_norm > 0.0
-        u[:, live] *= dense_norm[live] / kept_norm[live]
-    model.bump_version()
-    return model
-
-
 def _pin_heap_thresholds():
     """Fix glibc's malloc thresholds at the top of its dynamic range (mmap
     above 32 MB, trim a free heap top above 64 MB). glibc raises them only
@@ -456,12 +425,10 @@ def load_records(path) -> dict:
 
 def append_record(path, record: TrialRecord):
     try:
-        with open(path, "ab") as f:
+        with open(path, "a+b") as f:
             if f.tell() > 0:
-                with open(path, "rb") as check:
-                    check.seek(-1, os.SEEK_END)
-                    torn = check.read(1) != b"\n"
-                if torn:      # previous writer died mid-line; start fresh
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":      # previous writer died mid-line; start fresh
                     f.write(b"\n")
             f.write(record.to_json().encode() + b"\n")
             f.flush()

@@ -87,6 +87,12 @@ class Model:
         """Per-layer views of the mask, shaped like the parameters."""
         return self._views_of(self.mask)
 
+    def weight_units(self) -> list:
+        """Each weighted layer's weight as a writable (fan_in, units) view of
+        params; a unit is an affine output column or a conv out-channel."""
+        return [views[0].reshape(-1, views[0].shape[-1])
+                for views in self.param_views() if views]
+
     def set_params(self, values: np.ndarray):
         if values.shape != self.params.shape:
             raise ConfigError("parameter vector length mismatch")
@@ -129,19 +135,15 @@ def build_model(spec: ModelSpec) -> Model:
     """Deterministic construction: same spec + seed -> identical parameters.
 
     The one init rule is He-uniform: weights ~ U(-sqrt(6/fan_in),
-    +sqrt(6/fan_in)), biases zero, where a weight's last axis is its units
-    and fan_in is the size of the rest. Mask starts all-ones. Pruning at
-    init (`harness.prune_at_init`) then rescales each unit's kept weights
-    back to the unit's L2 norm here.
+    +sqrt(6/fan_in)), fan_in as `Model.weight_units` gives it, one draw
+    per weighted layer in layer order; biases stay zero. Mask starts
+    all-ones. Pruning at init (`prune.prune_at_init`) then rescales each
+    unit's kept weights back to the unit's L2 norm here.
     """
     layers = _mlp_layers(spec) if spec.arch == "simple-mlp" else _cnn_layers(spec)
     model = Model(spec, layers)
     rng = np.random.default_rng(spec.seed)
-    for views in model.param_views():
-        if not views:
-            continue
-        weight, bias = views
-        limit = np.sqrt(6.0 / (weight.size // weight.shape[-1]))
-        weight[...] = rng.uniform(-limit, limit, size=weight.shape)
-        bias[...] = 0.0
+    for units in model.weight_units():
+        limit = np.sqrt(6.0 / units.shape[0])
+        units[...] = rng.uniform(-limit, limit, size=units.shape)
     return model

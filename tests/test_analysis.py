@@ -260,12 +260,12 @@ def test_beta_matches_explicit_per_sample_loop():
 
 
 def pruned_at_init(spec, sparsity, n=160):
-    """A model pruned by prune_at_init on random data, and that data shaped."""
+    """A model pruned by prune_at_init on random data, and that data."""
     rng = np.random.default_rng(13)
-    train = Dataset(rng.normal(size=(n, int(np.prod(spec.input_shape)))),
+    train = Dataset(rng.normal(size=(n, *spec.input_shape)),
                     rng.integers(0, spec.classes, size=n), spec.classes)
     model = prune_at_init(build_model(spec), train, sparsity, seed=2)
-    return model, train.inputs.reshape(n, *spec.input_shape), train.labels
+    return model, train.inputs, train.labels
 
 
 def test_batched_beta_matches_per_sample_loop_on_pruned_mlp(monkeypatch):

@@ -70,11 +70,19 @@ def test_a_record_with_a_wrong_typed_field_runs_again(tmp_path):
     assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
     path = tmp_path / "records.jsonl"
     lines = path.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if '"steps_to_goal": 16' in line)
-    edited = lines[i].replace('"steps_to_goal": 16', '"steps_to_goal": "16"')
-    path.write_text("\n".join(lines[:i] + [edited] + lines[i + 1:]) + "\n")
+    first = next(i for i, line in enumerate(lines) if '"steps_to_goal": 16' in line)
+    rows = [first] + [i for i in range(len(lines)) if i != first][:3]
+    # a field, then a metaparameter that is a string, a bool, an object
+    edits = [{"steps_to_goal": "16"}, {"metaparams": {"eta_bar": "0.1"}},
+             {"metaparams": {"eta_bar": True}}, {"metaparams": {"eta_bar": {"value": 0.1}}}]
+    edited = list(lines)
+    for i, edit in zip(rows, edits):
+        edited[i] = json.dumps({**json.loads(lines[i]), **edit}, sort_keys=True)
+    path.write_text("\n".join(edited) + "\n")
     assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
-    assert path.read_text().splitlines() == lines[:i] + [edited] + lines[i + 1:] + [lines[i]]
+    after = path.read_text().splitlines()
+    assert after[:len(lines)] == edited
+    assert sorted(after[len(lines):]) == sorted(lines[i] for i in rows)
 
 
 def test_including_config_varies_the_study(tmp_path):

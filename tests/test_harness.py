@@ -20,14 +20,13 @@ from sparselab.config import load_config
 from sparselab.data import Dataset
 from sparselab.exceptions import ConfigError
 from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
-                               SALIENCY_BATCH, StudyConfig, StudyPoint,
-                               TrialRecord, Workload, aggregate, best_trial,
-                               load_records, planned_trials, prune_at_init,
-                               resolve_dataset, run_study, run_trial,
-                               trial_key, _shaped)
+                               StudyConfig, StudyPoint, TrialRecord, Workload,
+                               aggregate, best_trial, load_records,
+                               planned_trials, prune_at_init, resolve_dataset,
+                               run_study, run_trial, trial_key)
 from sparselab.models import ModelSpec, build_model
 from sparselab.optim import ScheduleSpec
-from sparselab.prune import connection_sensitivity, topk_mask
+from sparselab.prune import SALIENCY_BATCH, connection_sensitivity, topk_mask
 from sparselab.quasirand import SearchSpace
 from sparselab.report import read_table, write_summary
 
@@ -133,7 +132,7 @@ PRUNING_SPECS = {
 
 def pruning_train_set(spec, n=200):
     rng = np.random.default_rng(9)
-    inputs = rng.normal(size=(n, int(np.prod(spec.input_shape))))
+    inputs = rng.normal(size=(n, *spec.input_shape))
     return Dataset(inputs, rng.integers(0, spec.classes, size=n), spec.classes)
 
 
@@ -165,8 +164,7 @@ def test_prune_at_init_gives_kept_units_their_init_norm(arch, sparsity):
     # the saliency batch prune_at_init draws, scored at the dense init
     rng = np.random.default_rng([5, 0x5A11])
     idx = rng.choice(len(train), size=SALIENCY_BATCH, replace=False)
-    saliency = connection_sensitivity(
-        dense, _shaped(train.inputs[idx], spec), train.labels[idx])
+    saliency = connection_sensitivity(dense, train.inputs[idx], train.labels[idx])
     assert np.array_equal(pruned.mask, topk_mask(saliency, sparsity).bits)
     assert np.all(pruned.params[pruned.mask == 0.0] == 0.0)
 
@@ -599,7 +597,9 @@ def test_load_records_ignores_garbage_lines(tmp_path):
     wrong = [{"steps_to_goal": "16"}, {"steps_to_goal": 16.0}, {"status": "done"},
              {"batch_size": 8.0}, {"batch_size": True}, {"sparsity": False},
              {"final_loss": None}, {"seed": "0"}, {"metaparams": [0.1]},
-             {"history": [["16", 0.5]]}, {"history": [[16, None]]}]
+             {"history": [["16", 0.5]]}, {"history": [[16, None]]},
+             {"metaparams": {"eta_bar": "0.1"}}, {"metaparams": {"eta_bar": True}},
+             {"metaparams": {"eta_bar": {"value": 0.1}}}]
     lines = [rec.to_json().encode(), *garbage]
     lines += [json.dumps({**json.loads(rec.to_json()), **w,
                           "trial_key": f"w{i}"}).encode() for i, w in enumerate(wrong)]

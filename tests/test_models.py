@@ -46,6 +46,28 @@ def test_he_uniform_variance_on_large_layer(seed):
     assert abs(weight.var() / target - 1.0) < 0.1
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec("simple-mlp", (6, 2), (12, 8), 4, seed=3),
+    ModelSpec("cnn-lite", (6, 6, 2), (3, 4), 5, seed=7),
+], ids=["simple-mlp", "cnn-lite"])
+def test_init_bytes_match_an_independent_he_uniform_construction(spec):
+    # per weighted layer in order: (fan_in, units), fan_in = n_in for an
+    # affine layer and 9 * c_in for a 3x3 conv; one U(+-sqrt(6/fan_in))
+    # draw of its weight from a single generator, then a zero bias
+    if spec.arch == "simple-mlp":
+        dims = [int(np.prod(spec.input_shape)), *spec.widths, spec.classes]
+        layers = list(zip(dims, dims[1:]))
+    else:
+        c, (c1, c2) = spec.input_shape[-1], spec.widths
+        layers = [(9 * c, c1), (9 * c1, c2), (c2, spec.classes)]
+    rng = np.random.default_rng(spec.seed)
+    blocks = []
+    for fan_in, units in layers:
+        limit = np.sqrt(6.0 / fan_in)
+        blocks += [rng.uniform(-limit, limit, size=fan_in * units), np.zeros(units)]
+    assert build_model(spec).params.tobytes() == np.concatenate(blocks).tobytes()
+
+
 def test_biases_start_at_zero():
     model = build_model(ModelSpec("cnn-lite", (8, 8, 1), (3, 4), 5, seed=3))
     for views in model.param_views():

@@ -85,7 +85,7 @@ def test_batch_gradient_equals_a_backward_through_every_layer(spec):
     model = build_model(spec)
     bits = np.ones(model.param_count)
     bits[::4] = 0.0
-    apply_mask(model, Mask(bits, 1 / 4))
+    apply_mask(model, Mask(bits))
     rng = np.random.default_rng(6)
     x = rng.normal(size=(5, *spec.input_shape))
     y = rng.integers(0, spec.classes, size=5)
@@ -206,7 +206,7 @@ def test_masked_gradient_entries_are_exactly_zero():
     model = build_model(ModelSpec("simple-mlp", (6,), (8,), 3, seed=4))
     bits = np.ones(model.param_count)
     bits[::3] = 0.0
-    apply_mask(model, Mask(bits, 1 / 3))
+    apply_mask(model, Mask(bits))
     rng = np.random.default_rng(2)
     _, _, grad = nn.batch_gradient(model, rng.normal(size=(5, 6)),
                                    rng.integers(0, 3, size=5))
@@ -218,7 +218,7 @@ def test_forward_invariant_to_values_at_masked_positions():
     model = build_model(ModelSpec("simple-mlp", (6,), (8,), 3, seed=4))
     bits = np.ones(model.param_count)
     bits[::2] = 0.0
-    apply_mask(model, Mask(bits, 0.5))
+    apply_mask(model, Mask(bits))
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 6))
     y = rng.integers(0, 3, size=4)
@@ -346,7 +346,7 @@ def test_sweep_example_norms_equal_per_sample_gradients_across_chunks(monkeypatc
     model = build_model(ModelSpec("simple-mlp", (4,), (5,), 3, seed=7))
     bits = np.ones(model.param_count)
     bits[::3] = 0.0
-    apply_mask(model, Mask(bits, 1 / 3))
+    apply_mask(model, Mask(bits))
     rng = np.random.default_rng(11)
     x = rng.normal(size=(30, 4))
     y = rng.integers(0, 3, size=30)
@@ -389,7 +389,7 @@ def several_chunks(monkeypatch):
     where `x.T @ d` once gave other bytes at 1 and 2 OpenBLAS threads."""
     monkeypatch.setattr(nn, "FULL_GRADIENT_CHUNK", 600)
     model = build_model(ModelSpec("simple-mlp", (8,), (96, 48), 16, seed=3))
-    apply_mask(model, Mask((np.random.default_rng(4).random(model.param_count) < 0.3) * 1.0, 0.7))
+    apply_mask(model, Mask((np.random.default_rng(4).random(model.param_count) < 0.3) * 1.0))
     rng = np.random.default_rng(5)
     return model, rng.normal(size=(1792, 8)) * 3.0, rng.integers(0, 16, size=1792)
 

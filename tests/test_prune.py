@@ -111,14 +111,14 @@ def test_apply_mask_zeroes_and_is_idempotent():
 def test_all_ones_mask_leaves_parameters_unchanged():
     model = build_model(ModelSpec("simple-mlp", (6,), (5,), 3, seed=8))
     before = model.params.copy()
-    apply_mask(model, Mask(np.ones(model.param_count), 0.0))
+    apply_mask(model, Mask(np.ones(model.param_count)))
     assert np.array_equal(before, model.params)
 
 
 def test_mask_length_mismatch_rejected():
     model = build_model(ModelSpec("simple-mlp", (6,), (5,), 3, seed=8))
     with pytest.raises(ConfigError):
-        apply_mask(model, Mask(np.ones(3), 0.0))
+        apply_mask(model, Mask(np.ones(3)))
 
 
 @pytest.mark.parametrize("algo", ["sgd", "momentum", "nesterov"])
