@@ -8,8 +8,9 @@ Each block maps onto a dataclass or function by name: the top level
 onto `_study_config`, `study` onto `_grid`, `workload` onto `Workload`,
 its `model` onto `ModelSpec`, its `schedule` onto `ScheduleSpec`, each
 search space onto `SearchSpace`. These hold the defaults. An unknown
-key, a missing one, or a value that is not a number where one is needed
-is a ConfigError naming the block and key. The protocol defaults the
+key, a missing one, a value that is not a number where one is needed, or
+a fractional one where an integer is, is a ConfigError naming the block
+and key. The protocol defaults the
 dataclasses lack are stated here: trial budget 100, seed 0, step cap
 40000, `sgd`, and evaluation every 16 steps for flat inputs and every
 32 for image inputs.

@@ -1,9 +1,10 @@
 """Measurement protocol: run budgeted metaparameter trials per
 (batch size, sparsity) study point and record steps-to-result.
 
-A trial trains one freshly built (and possibly pruned-at-init) model
-with seeded shuffled mini-batches, evaluating on the full validation
-split every `eval_interval` steps. Its outcome is exactly one of:
+A trial trains a fresh copy of its sparsity's initial model (built, and
+pruned at init, once per process) with seeded shuffled mini-batches,
+evaluating on the full validation split every `eval_interval` steps. Its
+outcome is exactly one of:
 
 * complete    -- some evaluation reached the goal error within budget
 * incomplete  -- budget exhausted without reaching the goal
@@ -176,11 +177,15 @@ class StudyConfig:
 # ---------------------------------------------------------------------------
 
 def number(kind, value, where: str):
-    """`kind(value)`; a value that is not a number is a ConfigError naming `where`."""
+    """`kind(value)`; a value that is not a number, or a fractional one where
+    `kind` is int, is a ConfigError naming `where`."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be numeric, not {value!r}") from None
+    if kind is int and isinstance(value, float) and out != value:
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return out
 
 
 def from_block(fn, block, where: str, **fallback):
@@ -205,6 +210,12 @@ def from_block(fn, block, where: str, **fallback):
 
 
 _DATASET_CACHE: dict = {}
+_INIT_CACHE: dict = {}
+
+
+def _dataset_key(workload: Workload, data_root: str | None) -> tuple:
+    return (json.dumps(workload.dataset, sort_keys=True), workload.data_seed,
+            data_root or "", workload.model_spec.input_shape)
 
 
 def _idx_files(data_root: str | None, images: str, labels: str) -> Dataset:
@@ -225,8 +236,7 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
     (uniformly to another class, seeded) after the split, so validation
     error stays a clean measure while gradients carry extra variance.
     """
-    key = (json.dumps(workload.dataset, sort_keys=True), workload.data_seed,
-           data_root or "", workload.model_spec.input_shape)
+    key = _dataset_key(workload, data_root)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     cfg = dict(workload.dataset)
@@ -251,6 +261,29 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
         train = Dataset(train.inputs, labels, train.num_classes)
     _DATASET_CACHE[key] = (train, val)
     return train, val
+
+
+def initial_model(workload: Workload, sparsity: float, data_root: str | None = None):
+    """A fresh copy of the net every trial at `sparsity` starts from,
+    `prune_at_init(build_model(...))`.
+
+    The pruned init is built once per (data set, model spec, sparsity) per
+    process and kept as read-only `params` and `mask` arrays; each call
+    copies them into a newly built model.
+    """
+    key = (_dataset_key(workload, data_root), workload.model_spec, sparsity)
+    if key not in _INIT_CACHE:
+        train, _ = resolve_dataset(workload, data_root)
+        pruned = prune_at_init(build_model(workload.model_spec), train, sparsity,
+                               workload.data_seed)
+        for array in (pruned.params, pruned.mask):
+            array.setflags(write=False)
+        _INIT_CACHE[key] = (pruned.params, pruned.mask)
+    params, mask = _INIT_CACHE[key]
+    model = build_model(workload.model_spec)
+    model.set_params(params)
+    model.mask = mask.copy()
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +348,7 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
         raise ConfigError(
             f"batch size {point.batch_size} exceeds training set ({len(train)})")
 
-    model = build_model(workload.model_spec)
-    model = prune_at_init(model, train, point.sparsity, workload.data_seed)
+    model = initial_model(workload, point.sparsity, data_root)
     if step_hook is not None:
         step_hook(model, 0)
 

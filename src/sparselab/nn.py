@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .exceptions import ConfigError, NumericOverflow, StaleCacheError
 
@@ -76,13 +75,24 @@ class Affine:
         return ((x * x) @ M_W * d_sq).sum(axis=1) + d_sq @ m_b
 
 
+@functools.cache
+def _tap_pixels(h: int, w: int) -> np.ndarray:
+    """Flat pixel index into an (h+2, w+2) padded image of tap (i, j) of
+    output pixel (y, x), in (y, x, i, j) order."""
+    y, x, i, j = np.ix_(range(h), range(w), range(3), range(3))
+    index = ((y + i) * (w + 2) + x + j).ravel()
+    index.setflags(write=False)
+    return index
+
+
 class Conv3x3:
     """3x3 convolution, stride 1, zero 'same' padding, channels-last.
 
-    Implemented as patch extraction (im2col: one strided view of the
-    zero-padded input, copied once) followed by one matmul, so the backward
-    pass is exact matrix calculus rather than a hand-rolled correlation.
-    The input gradient is added tap by tap, in a fixed (i, j) order.
+    Implemented as patch extraction (im2col: one `np.take` of whole pixel
+    rows of the zero-padded input, by a cached tap index) followed by one
+    matmul, so the backward pass is exact matrix calculus rather than a
+    hand-rolled correlation. The input gradient is added tap by tap, in a
+    fixed (i, j) order.
     """
 
     def __init__(self, c_in: int, c_out: int):
@@ -103,10 +113,9 @@ class Conv3x3:
         n, h, w, c = x.shape
         padded = np.zeros((n, h + 2, w + 2, c))
         padded[:, 1:-1, 1:-1] = x
-        s0, s1, s2, s3 = padded.strides
-        # patches[n, y, x, i, j] = padded[n, y + i, x + j]; the reshape is the one copy
-        patches = as_strided(padded, (n, h, w, 3, 3, c), (s0, s1, s2, s1, s2, s3))
-        flat = patches.reshape(n * h * w, 9 * c)
+        # flat[(n, y, x), (i, j, c)] = padded[n, y + i, x + j, c]: one gather of pixel rows
+        flat = np.take(padded.reshape(n, -1, c), _tap_pixels(h, w), axis=1)
+        flat = flat.reshape(n * h * w, 9 * c)
         y = flat @ K.reshape(9 * c, self.c_out)
         y += b
         return y.reshape(n, h, w, self.c_out), (flat, x.shape)

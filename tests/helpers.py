@@ -2,6 +2,7 @@
 SGD runs with exactly known constants, and reference workloads."""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from sparselab import nn
 from sparselab.harness import Workload
@@ -39,6 +40,17 @@ def conv_input_gradient_by_patches(d_out, K):
         for j in range(3):
             d_padded[:, i:i + h, j:j + w, :] += d_patches[:, :, :, i, j, :]
     return d_padded[:, 1:1 + h, 1:1 + w, :]
+
+
+def conv_patches_by_strided_view(x):
+    """Conv3x3's im2col matrix as one strided view of the zero-padded input,
+    patches[n, y, x, i, j] = padded[n, y + i, x + j], copied by the reshape."""
+    n, h, w, c = x.shape
+    padded = np.zeros((n, h + 2, w + 2, c))
+    padded[:, 1:-1, 1:-1] = x
+    s0, s1, s2, s3 = padded.strides
+    patches = as_strided(padded, (n, h, w, 3, 3, c), (s0, s1, s2, s1, s2, s3))
+    return patches.reshape(n * h * w, 9 * c)
 
 
 def max_relative_error(a, b, floor=1e-8):

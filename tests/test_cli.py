@@ -171,6 +171,12 @@ BAD_CONFIGS = {
                     "study.sparsities must be non-empty and distinct, got []"),
     "study duplicate": (lambda t: t["study"].update(batch_sizes=[8, 8]),
                         "study.batch_sizes must be non-empty and distinct, got [8, 8]"),
+    "batch size fractional": (lambda t: t["study"].update(batch_sizes=[2.5, 8]),
+                              "study.batch_sizes must be an integer, not 2.5"),
+    "budget fractional": (lambda t: t.update(budget=3.9),
+                          "config.budget must be an integer, not 3.9"),
+    "max steps infinite": (lambda t: t["workload"].update(max_steps=float("inf")),
+                           "workload.max_steps must be numeric, not inf"),
 }
 
 
@@ -180,6 +186,14 @@ def test_bad_config_key_is_a_config_error_naming_it(tmp_path, capsys, case):
     path = edited_smoke(tmp_path, edit)
     assert run_cli("run", "--config", path, "--out", str(tmp_path)) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    path = edited_smoke(tmp_path, lambda t: (t.update(budget=3.0),
+                                             t["study"].update(batch_sizes=[2.0, 8])))
+    cfg = load_config(path)
+    assert (cfg.budget, cfg.batch_sizes) == (3, [2, 8])
+    assert all(type(v) is int for v in [cfg.budget, *cfg.batch_sizes])
 
 
 @pytest.mark.parametrize("name", ["smoke.json", "scaling_study.json", "full/mnist.json",

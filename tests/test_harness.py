@@ -196,20 +196,81 @@ def test_prune_at_init_at_zero_sparsity_is_the_dense_init(arch):
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.7])
-def test_step_hook_sees_the_pruned_init_at_step_zero(sparsity):
+def test_step_hook_sees_the_pruned_init_at_step_zero(monkeypatch, sparsity):
     # beta is estimated on prune_at_init(build_model(...)); that must be
-    # exactly the net a trial (and so a smoothness trace) starts from.
+    # exactly the net a trial (and so a smoothness trace) starts from,
+    # whether the trial builds the init or reads it from the cache.
+    monkeypatch.setattr(harness, "_INIT_CACHE", {})
     wl = smoke_workload(max_steps=16)
-    seen = {}
-
-    def hook(model, k):
-        if k == 0:
-            seen["params"] = model.params.copy()
-
-    run_trial(wl, StudyPoint(16, sparsity), ETA, seed=1, step_hook=hook)
     train, _ = resolve_dataset(wl)
-    probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
-    assert seen["params"].tobytes() == probe.params.tobytes()
+    for _ in range(2):
+        seen = {}
+
+        def hook(model, k):
+            if k == 0:
+                seen["params"] = model.params.copy()
+
+        run_trial(wl, StudyPoint(16, sparsity), ETA, seed=1, step_hook=hook)
+        probe = prune_at_init(build_model(wl.model_spec), train, sparsity, wl.data_seed)
+        assert seen["params"].tobytes() == probe.params.tobytes()
+    assert len(harness._INIT_CACHE) == 1
+
+
+def count_pruning(monkeypatch):
+    """Empty the init cache; the returned list gets the sparsity of each
+    `prune_at_init` call that `harness` makes."""
+    monkeypatch.setattr(harness, "_INIT_CACHE", {})
+    calls = []
+
+    def spy(model, train, sparsity, seed):
+        calls.append(sparsity)
+        return prune_at_init(model, train, sparsity, seed)
+
+    monkeypatch.setattr(harness, "prune_at_init", spy)
+    return calls
+
+
+def test_trials_at_one_sparsity_prune_once(monkeypatch):
+    calls = count_pruning(monkeypatch)
+    wl = smoke_workload(max_steps=16)
+    for batch_size, seed, metaparams in [(16, 1, ETA), (8, 2, {"eta_bar": 0.05}),
+                                         (4, 3, ETA)]:
+        run_trial(wl, StudyPoint(batch_size, 0.5), metaparams, seed=seed)
+    assert calls == [0.5]
+
+
+def test_each_input_of_the_pruned_init_gets_its_own_cache_entry(monkeypatch):
+    calls = count_pruning(monkeypatch)
+    wl = smoke_workload()
+    variants = [wl, replace(wl, model_spec=replace(wl.model_spec, seed=4)),
+                replace(wl, data_seed=wl.data_seed + 1),
+                replace(wl, dataset={**wl.dataset, "separation": 3.0})]
+    for variant in variants:
+        train, _ = resolve_dataset(variant)
+        for sparsity in (0.5, 0.7):
+            for _ in range(2):
+                model = harness.initial_model(variant, sparsity)
+                fresh = prune_at_init(build_model(variant.model_spec), train, sparsity,
+                                      variant.data_seed)
+                assert model.params.tobytes() == fresh.params.tobytes()
+                assert model.mask.tobytes() == fresh.mask.tobytes()
+    assert len(calls) == len(harness._INIT_CACHE) == 8
+
+
+def test_the_cached_init_is_read_only_and_each_trial_gets_a_copy(monkeypatch):
+    count_pruning(monkeypatch)
+    wl = smoke_workload()
+    model = harness.initial_model(wl, 0.5)
+    [(params, mask)] = harness._INIT_CACHE.values()
+    for array in (params, mask):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 2.0
+    kept = params.tobytes(), mask.tobytes()
+    model.params[...] = 1.0     # a trial's model is its own
+    model.mask[...] = 0.0
+    again = harness.initial_model(wl, 0.5)
+    assert (again.params.tobytes(), again.mask.tobytes()) == kept
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.7])

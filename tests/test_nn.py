@@ -8,7 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import conv_input_gradient_by_patches, fd_gradient, max_relative_error
+from helpers import (conv_input_gradient_by_patches, conv_patches_by_strided_view,
+                     fd_gradient, max_relative_error)
 from sparselab import nn
 from sparselab.exceptions import ConfigError, NumericOverflow, StaleCacheError
 from sparselab.models import ModelSpec, build_model
@@ -52,6 +53,23 @@ def test_conv_matches_direct_taps_and_patch_scatter(n, h, c_in, c_out, exact):
         assert np.array_equal(d_x, oracle)
     else:     # BLAS may take a product this narrow another way, in the last bit
         assert max_relative_error(d_x, oracle) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [
+    (3, 28, 28, 1), (3, 32, 32, 3), (3, 14, 14, 8),   # conv1 (MNIST, CIFAR-10), conv2
+    (2, 4, 6, 1), (2, 4, 6, 3), (2, 4, 6, 8),         # non-square: h and w not swapped
+    (1, 5, 5, 1), (1, 4, 6, 8),
+])
+def test_conv_patch_matrix_equals_the_strided_view_copy(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    c_in = shape[3]
+    K, b = rng.normal(size=(3, 3, c_in, 2)), rng.normal(size=2)
+    _, (flat, x_shape) = nn.Conv3x3(c_in, 2).forward(x, [K, b])
+    assert x_shape == shape
+    reference = conv_patches_by_strided_view(x)
+    assert flat.shape == reference.shape and flat.dtype == reference.dtype
+    assert flat.tobytes() == reference.tobytes()
 
 
 IMAGE_SPECS = [ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3),
