@@ -8,8 +8,9 @@ Each block maps onto a dataclass or function by name: the top level
 onto `_study_config`, `study` onto `_grid`, `workload` onto `Workload`,
 its `model` onto `ModelSpec`, its `schedule` onto `ScheduleSpec`, each
 search space onto `SearchSpace`. These hold the defaults. An unknown
-key, a missing one, a value that is not a number where one is needed, or
-a fractional one where an integer is, is a ConfigError naming the block
+key, a missing one, a non-number (a bool, a string for an integer) where
+a number is needed, also in a list such as a model's widths, or a
+fractional one where an integer is, is a ConfigError naming the block
 and key. The protocol defaults the
 dataclasses lack are stated here: trial budget 100, seed 0, step cap
 40000, `sgd`, and evaluation every 16 steps for flat inputs and every
@@ -24,7 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .exceptions import ConfigError
-from .harness import StudyConfig, Workload, from_block, number
+from .harness import StudyConfig, Workload, from_block
 from .models import ModelSpec
 from .optim import ScheduleSpec
 from .quasirand import SearchSpace
@@ -76,9 +77,8 @@ def load_config(path) -> StudyConfig:
     return from_block(_study_config, _load_tree(Path(path)), "config")
 
 
-def _grid(batch_sizes, sparsities):
-    return ([number(int, b, "study.batch_sizes") for b in batch_sizes],
-            [number(float, s, "study.sparsities") for s in sparsities])
+def _grid(batch_sizes: tuple[int, ...], sparsities: tuple[float, ...]):
+    return list(batch_sizes), list(sparsities)
 
 
 def _study_config(workload, study, search_spaces, schema_version=CONFIG_SCHEMA,

@@ -177,9 +177,12 @@ class StudyConfig:
 # ---------------------------------------------------------------------------
 
 def number(kind, value, where: str):
-    """`kind(value)`; a value that is not a number, or a fractional one where
-    `kind` is int, is a ConfigError naming `where`."""
+    """`kind(value)`; a bool, a string where `kind` is int (a float may be
+    "nan"), any other non-number, or a fractional one where `kind` is int,
+    is a ConfigError naming `where`."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, str)):
+            raise TypeError(value)
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be numeric, not {value!r}") from None
@@ -188,11 +191,24 @@ def number(kind, value, where: str):
     return out
 
 
+def numbers(kind, values, where: str) -> tuple:
+    """`number` of each entry of a JSON list."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, not {values!r}")
+    return tuple(number(kind, value, where) for value in values)
+
+
+# from_block's coercion of a parameter, by its annotation (postponed: a string)
+_COERCED = {"int": partial(number, int), "float": partial(number, float),
+            "tuple[int, ...]": partial(numbers, int), "tuple[float, ...]": partial(numbers, float)}
+
+
 def from_block(fn, block, where: str, **fallback):
     """`fn(**block)` for a dataclass or function `fn`, matched by name;
     `fallback` gives values for parameters that `block` omits. Unknown
     keys and parameters left without a value are ConfigErrors naming
-    `where` and the key. Parameters annotated int or float are coerced."""
+    `where` and the key. Parameters annotated int, float or a tuple of
+    either are coerced."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object, not {block!r}")
     params = inspect.signature(fn).parameters
@@ -201,9 +217,8 @@ def from_block(fn, block, where: str, **fallback):
             raise ConfigError(f"unknown key {key!r} in {where}")
     args = {**fallback, **block}
     for name, p in params.items():
-        kind = {"int": int, "float": float}.get(p.annotation)  # postponed: a string
-        if name in args and kind:
-            args[name] = number(kind, args[name], f"{where}.{name}")
+        if name in args and p.annotation in _COERCED:
+            args[name] = _COERCED[p.annotation](args[name], f"{where}.{name}")
         elif name not in args and p.default is p.empty:
             raise ConfigError(f"missing {name!r} in {where}")
     return fn(**args)

@@ -29,8 +29,8 @@ ARCHITECTURES = ("simple-mlp", "cnn-lite")
 @dataclass(frozen=True)
 class ModelSpec:
     arch: str
-    input_shape: tuple
-    widths: tuple            # hidden widths (mlp) or channel counts (cnn)
+    input_shape: tuple[int, ...]
+    widths: tuple[int, ...]  # hidden widths (mlp) or channel counts (cnn)
     classes: int
     seed: int = 0
 

@@ -14,6 +14,10 @@ set. It runs its chunks on the process's pool of threads, as many as
 OpenBLAS runs and kept from one sweep to the next, each chunk at one
 OpenBLAS thread, and sums them in chunk order: its bytes are those of a
 one-thread serial pass at any thread count.
+The bias gradients and the global mean pool's spatial sum go through
+`_column_sums`, an einsum whose inner loop spans a whole row, not one
+pixel's channels, and which adds the rows in `sum`'s order; a one-column
+array keeps `sum`, which adds a single column pairwise.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ FULL_GRADIENT_CHUNK = 1024
 # ---------------------------------------------------------------------------
 # Layers
 # ---------------------------------------------------------------------------
+
+def _column_sums(a):
+    """`a.sum(axis=-2)` of an (..., rows, c) array, bit for bit."""
+    if a.shape[-1] == 1 or not a.flags.c_contiguous:
+        return a.sum(axis=-2)
+    return np.einsum("...nc->...c", a)
+
 
 class Affine:
     """Fully-connected layer: y = x @ W + b."""
@@ -63,7 +74,7 @@ class Affine:
         W, _ = params
         x = cache
         d_W = x.T @ d_out
-        d_b = d_out.sum(axis=0)
+        d_b = _column_sums(d_out)
         return d_out @ W.T if need_input else None, [d_W, d_b]
 
     def example_sq_norms(self, d_out, cache, masks):
@@ -117,7 +128,8 @@ class Conv3x3:
         flat = np.take(padded.reshape(n, -1, c), _tap_pixels(h, w), axis=1)
         flat = flat.reshape(n * h * w, 9 * c)
         y = flat @ K.reshape(9 * c, self.c_out)
-        y += b
+        rows = y.reshape(n * h, w * self.c_out)
+        rows += np.tile(b, w)
         return y.reshape(n, h, w, self.c_out), (flat, x.shape)
 
     def backward(self, d_out, cache, params, need_input=True):
@@ -126,7 +138,7 @@ class Conv3x3:
         n, h, w, _ = x_shape
         d_flat_out = d_out.reshape(n * h * w, self.c_out)
         d_K = (flat.T @ d_flat_out).reshape(3, 3, self.c_in, self.c_out)
-        d_b = d_flat_out.sum(axis=0)
+        d_b = _column_sums(d_flat_out)
         if not need_input:
             return None, [d_K, d_b]
         d_padded = np.zeros((n, h + 2, w + 2, self.c_in))
@@ -143,7 +155,7 @@ class Conv3x3:
         flat, (n, h, w, _) = cache
         d = d_out.reshape(n, h * w, self.c_out)
         d_K = flat.reshape(n, h * w, 9 * self.c_in).transpose(0, 2, 1) @ d
-        d_b = d.sum(axis=1)
+        d_b = _column_sums(d)
         kernel = (d_K * d_K * M_K.reshape(9 * self.c_in, self.c_out)).sum(axis=(1, 2))
         return kernel + (d_b * d_b) @ m_b
 
@@ -173,7 +185,10 @@ class MeanPool2x2:
         if h % 2 or w % 2:
             raise ConfigError(f"mean-pool needs even spatial dims, got {h}x{w}")
         # the order and the scaling of reshape(...).mean(axis=(2, 4)), bit for bit
-        y = (x[:, 0::2, 0::2] + x[:, 0::2, 1::2] + x[:, 1::2, 0::2] + x[:, 1::2, 1::2]) * 0.25
+        y = x[:, 0::2, 0::2] + x[:, 0::2, 1::2]
+        y += x[:, 1::2, 0::2]
+        y += x[:, 1::2, 1::2]
+        y *= 0.25
         return y, x.shape
 
     def backward(self, d_out, cache, params):
@@ -190,11 +205,13 @@ class GlobalMeanPool:
     param_shapes: list = []
 
     def forward(self, x, params):
-        return x.mean(axis=(1, 2)), x.shape
+        n, h, w, c = x.shape
+        # x.mean(axis=(1, 2)) is this sum, divided by the pixel count
+        return _column_sums(x.reshape(n, h * w, c)) / (h * w), x.shape
 
     def backward(self, d_out, cache, params):
         n, h, w, c = cache
-        return np.broadcast_to(d_out[:, None, None, :], (n, h, w, c)) / (h * w), []
+        return np.repeat((d_out / (h * w))[:, None, :], h * w, axis=1).reshape(cache), []
 
 
 class Flatten:

@@ -53,6 +53,26 @@ def conv_patches_by_strided_view(x):
     return patches.reshape(n * h * w, 9 * c)
 
 
+def conv_forward_by_pixel_bias(x, K, b):
+    """Conv3x3's output with the bias added one pixel's channels at a time,
+    over the strided-view patch matrix."""
+    n, h, w, _ = x.shape
+    y = conv_patches_by_strided_view(x) @ K.reshape(-1, K.shape[3])
+    y += b
+    return y.reshape(n, h, w, K.shape[3])
+
+
+def global_mean_pool_by_mean(x):
+    """GlobalMeanPool's output as numpy's mean over the spatial axes."""
+    return x.mean(axis=(1, 2))
+
+
+def global_mean_pool_gradient_by_broadcast(d_out, shape):
+    """GlobalMeanPool's input gradient as a broadcast of d_out, divided."""
+    n, h, w, c = shape
+    return np.broadcast_to(d_out[:, None, None, :], shape) / (h * w)
+
+
 def max_relative_error(a, b, floor=1e-8):
     a = np.asarray(a)
     b = np.asarray(b)

@@ -177,6 +177,19 @@ BAD_CONFIGS = {
                           "config.budget must be an integer, not 3.9"),
     "max steps infinite": (lambda t: t["workload"].update(max_steps=float("inf")),
                            "workload.max_steps must be numeric, not inf"),
+    "widths fractional": (lambda t: t["workload"]["model"].update(widths=[8.5]),
+                          "workload.model.widths must be an integer, not 8.5"),
+    "widths bool": (lambda t: t["workload"]["model"].update(widths=[True]),
+                    "workload.model.widths must be numeric, not True"),
+    "input shape fractional": (lambda t: t["workload"]["model"].update(
+                                   input_shape=[28, 28.5, 1]),
+                               "workload.model.input_shape must be an integer, not 28.5"),
+    "budget bool": (lambda t: t.update(budget=True), "config.budget must be numeric, not True"),
+    "budget string": (lambda t: t.update(budget="3"), "config.budget must be numeric, not '3'"),
+    "batch size bool": (lambda t: t["study"].update(batch_sizes=[True]),
+                        "study.batch_sizes must be numeric, not True"),
+    "max steps bool": (lambda t: t["workload"].update(max_steps=True),
+                       "workload.max_steps must be numeric, not True"),
 }
 
 
@@ -190,10 +203,13 @@ def test_bad_config_key_is_a_config_error_naming_it(tmp_path, capsys, case):
 
 def test_integral_floats_load_as_ints(tmp_path):
     path = edited_smoke(tmp_path, lambda t: (t.update(budget=3.0),
-                                             t["study"].update(batch_sizes=[2.0, 8])))
+                                             t["study"].update(batch_sizes=[2.0, 8]),
+                                             t["workload"]["model"].update(widths=[8.0])))
     cfg = load_config(path)
     assert (cfg.budget, cfg.batch_sizes) == (3, [2, 8])
-    assert all(type(v) is int for v in [cfg.budget, *cfg.batch_sizes])
+    assert cfg.workload.model_spec.widths == (8,)
+    assert all(type(v) is int
+               for v in [cfg.budget, *cfg.batch_sizes, *cfg.workload.model_spec.widths])
 
 
 @pytest.mark.parametrize("name", ["smoke.json", "scaling_study.json", "full/mnist.json",

@@ -8,8 +8,10 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import (conv_input_gradient_by_patches, conv_patches_by_strided_view,
-                     fd_gradient, max_relative_error)
+from helpers import (conv_forward_by_pixel_bias, conv_input_gradient_by_patches,
+                     conv_patches_by_strided_view, fd_gradient,
+                     global_mean_pool_by_mean, global_mean_pool_gradient_by_broadcast,
+                     max_relative_error)
 from sparselab import nn
 from sparselab.exceptions import ConfigError, NumericOverflow, StaleCacheError
 from sparselab.models import ModelSpec, build_model
@@ -70,6 +72,52 @@ def test_conv_patch_matrix_equals_the_strided_view_copy(shape):
     reference = conv_patches_by_strided_view(x)
     assert flat.shape == reference.shape and flat.dtype == reference.dtype
     assert flat.tobytes() == reference.tobytes()
+
+
+def test_column_sums_equal_sum_byte_for_byte():
+    # einsum must add the rows in sum's order: this fails on a numpy that changes it
+    rng = np.random.default_rng(21)
+    shapes = [(1, 1), (1, 8), (5, 1), (3000, 1), (2, 3, 1), (1, 1, 16)]
+    shapes += [(int(rng.integers(1, 3000)), int(rng.integers(1, 40))) for _ in range(200)]
+    shapes += [(int(rng.integers(1, 9)), int(rng.integers(1, 800)), int(rng.integers(1, 20)))
+               for _ in range(100)]
+    for shape in shapes:
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        a[rng.random(shape) < 0.1] = -0.0
+        for layout in (a, np.asfortranarray(a), np.full(shape, -0.0)):
+            assert nn._column_sums(layout).tobytes() == layout.sum(axis=-2).tobytes(), shape
+
+
+@pytest.mark.parametrize("shape", [
+    (2, 14, 14, 16), (64, 14, 14, 16), (100, 14, 14, 16),   # cnn-lite at 28x28 input
+    (3, 14, 14, 1), (1, 4, 6, 1), (1, 4, 6, 3),
+])
+def test_global_mean_pool_equals_mean_and_divided_broadcast(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    y, cache = nn.GlobalMeanPool().forward(x, [])
+    assert y.tobytes() == global_mean_pool_by_mean(x).tobytes()
+    d_y = rng.normal(size=y.shape)
+    d_x, _ = nn.GlobalMeanPool().backward(d_y, cache, [])
+    assert d_x.shape == shape and d_x.flags.writeable
+    assert d_x.tobytes() == global_mean_pool_gradient_by_broadcast(d_y, shape).tobytes()
+
+
+@pytest.mark.parametrize("shape,c_out", [
+    ((64, 28, 28, 1), 8), ((64, 14, 14, 8), 16),            # cnn-lite's conv1 and conv2
+    ((3, 28, 28, 1), 1), ((2, 4, 6, 3), 1), ((1, 5, 5, 1), 2),
+])
+def test_conv_bias_add_and_gradient_equal_the_per_pixel_forms(shape, c_out):
+    rng = np.random.default_rng(sum(shape) + c_out)
+    x = rng.normal(size=shape)
+    c_in = shape[3]
+    K, b = rng.normal(size=(3, 3, c_in, c_out)), rng.normal(size=c_out)
+    layer = nn.Conv3x3(c_in, c_out)
+    y, cache = layer.forward(x, [K, b])
+    assert y.tobytes() == conv_forward_by_pixel_bias(x, K, b).tobytes()
+    d_y = rng.normal(size=y.shape)
+    _, (_, d_b) = layer.backward(d_y, cache, [K, b], False)
+    assert d_b.tobytes() == d_y.reshape(-1, c_out).sum(axis=0).tobytes()
 
 
 IMAGE_SPECS = [ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3),
