@@ -17,11 +17,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import analysis, report
+from . import analysis, optim, report
 from .config import echo_config, load_config
 from .exceptions import (ConfigError, DegenerateStepError, IdxFormatError,
                          InsufficientDataError, ResultsFormatError)
-from .harness import StudyPoint, run_study
+from .harness import StudyPoint, from_block, run_study
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,19 +88,22 @@ def cmd_fit(args) -> int:
 
 
 def _trace_metaparams(args, rows, workload, sparsity):
-    """eta_bar and momentum_coeff for a trace: each from its flag if given,
-    else from the summary's best row for (B, s). Plain SGD needs no momentum."""
+    """eta_bar and momentum_coeff for a trace, each from its flag if given,
+    else from the summary's best row for (B, s); the workload's
+    `OptimizerConfig` says which of them it needs."""
     best = next((r for r in rows
                  if r["s"] == sparsity and r["B"] == args.batch_size), {})
-    eta = args.eta if args.eta is not None else best.get("eta_star")
-    momentum = args.momentum if args.momentum is not None else best.get("momentum_star")
-    where = f"in the summary for B={args.batch_size}, s={sparsity}"
-    if eta is None:
-        raise ConfigError(f"no --eta given and no best learning rate {where}")
-    if momentum is None and workload.algorithm in ("momentum", "nesterov"):
-        raise ConfigError(f"{workload.algorithm}: no --momentum given and no best "
-                          f"momentum_coeff {where}")
-    return {"eta_bar": eta, **({} if momentum is None else {"momentum_coeff": momentum})}
+    picks = {"eta_bar": (args.eta, "eta_star"), "momentum_coeff": (args.momentum, "momentum_star")}
+    metaparams = {name: flag if flag is not None else best.get(column)
+                  for name, (flag, column) in picks.items()}
+    metaparams = {name: value for name, value in metaparams.items() if value is not None}
+    try:
+        from_block(optim.OptimizerConfig, metaparams, "metaparams",
+                   algorithm=workload.algorithm, schedule=workload.schedule)
+    except ConfigError as e:
+        raise ConfigError(f"{e}: give --eta/--momentum or a summary row for "
+                          f"B={args.batch_size}, s={sparsity}") from None
+    return metaparams
 
 
 def cmd_lipschitz(args) -> int:

@@ -7,14 +7,14 @@ so shared workload blocks can live in one place.
 Each block maps onto a dataclass or function by name: the top level
 onto `_study_config`, `study` onto `_grid`, `workload` onto `Workload`,
 its `model` onto `ModelSpec`, its `schedule` onto `ScheduleSpec`, each
-search space onto `SearchSpace`. These hold the defaults. An unknown
-key, a missing one, a non-number (a bool, a string for an integer) where
-a number is needed, also in a list such as a model's widths, or a
-fractional one where an integer is, is a ConfigError naming the block
-and key. The protocol defaults the
-dataclasses lack are stated here: trial budget 100, seed 0, step cap
-40000, `sgd`, and evaluation every 16 steps for flat inputs and every
-32 for image inputs.
+search space onto `SearchSpace`. These hold the defaults and the checks;
+`harness.from_block` adds unknown and missing keys and `harness.number`
+non-numbers, each a ConfigError naming the block and key. `StudyConfig`
+checks every (B, s) point. The search spaces have distinct names and
+name exactly what `optim.OptimizerConfig` reads, which their first draw
+checks. The protocol defaults the dataclasses lack are stated here:
+budget 100, seed 0, step cap 40000, `sgd`, and evaluation every 16
+steps for flat inputs and every 32 for image inputs.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from pathlib import Path
 from .exceptions import ConfigError
 from .harness import StudyConfig, Workload, from_block
 from .models import ModelSpec
-from .optim import ScheduleSpec
-from .quasirand import SearchSpace
+from .optim import OptimizerConfig, ScheduleSpec
+from .quasirand import SearchSpace, draw_assignments
 
 CONFIG_SCHEMA = 1
 DEFAULT_BUDGET = 100
@@ -102,10 +102,10 @@ def _study_config(workload, study, search_spaces, schema_version=CONFIG_SCHEMA,
     spaces = [from_block(SearchSpace, s, f"search_spaces[{i}]")
               for i, s in enumerate(search_spaces)]
     names = [s.name for s in spaces]
-    if "eta_bar" not in names:
-        raise ConfigError("search_spaces must include eta_bar")
-    if workload.algorithm in ("momentum", "nesterov") and "momentum_coeff" not in names:
-        raise ConfigError(f"{workload.algorithm} needs a momentum_coeff search space")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"search_spaces must have distinct names, got {names}")
+    from_block(OptimizerConfig, draw_assignments(spaces, 1)[0] if spaces else {},
+               "search_spaces", algorithm=workload.algorithm, schedule=workload.schedule)
 
     return StudyConfig(workload, batch_sizes, sparsities, budget, seed, spaces,
                        data_root or os.environ.get(DATA_ROOT_ENV))

@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -63,9 +64,9 @@ class StudyPoint:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
+            raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.sparsity < 1.0:
-            raise ConfigError("sparsity must be in [0, 1)")
+            raise ConfigError(f"sparsity must be in [0, 1), got {self.sparsity}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class StudyConfig:
     data_root: str | None = None
 
     def __post_init__(self):
-        """A study runs at least one trial, and each study point once."""
+        """A study runs at least one trial, and each valid study point once."""
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         for name in ("batch_sizes", "sparsities"):
@@ -170,6 +171,8 @@ class StudyConfig:
             if not values or len(set(values)) < len(values):
                 raise ConfigError(f"study.{name} must be non-empty and distinct, "
                                   f"got {values}")
+        for b, s in product(self.batch_sizes, self.sparsities):
+            StudyPoint(b, s)                  # each point's own checks, at load
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +180,11 @@ class StudyConfig:
 # ---------------------------------------------------------------------------
 
 def number(kind, value, where: str):
-    """`kind(value)`; a bool, a string where `kind` is int (a float may be
-    "nan"), any other non-number, or a fractional one where `kind` is int,
-    is a ConfigError naming `where`."""
+    """`kind(value)`. A bool or a string is not a number: it, any other
+    non-number, or a fractional value where `kind` is int, is a ConfigError
+    naming `where`."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, str)):
+        if isinstance(value, (bool, str)):
             raise TypeError(value)
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -200,6 +203,7 @@ def numbers(kind, values, where: str) -> tuple:
 
 # from_block's coercion of a parameter, by its annotation (postponed: a string)
 _COERCED = {"int": partial(number, int), "float": partial(number, float),
+            "float | None": partial(number, float),
             "tuple[int, ...]": partial(numbers, int), "tuple[float, ...]": partial(numbers, float)}
 
 

@@ -7,7 +7,8 @@ All three are instances of the generic iteration
 with g_k the raw mini-batch gradient (sgd), the velocity buffer
 (momentum), or the look-ahead combination (nesterov). The update is
 coordinate-wise, so a coordinate whose gradient is always zero keeps a
-zero velocity and never moves.
+zero velocity and never moves. Only `OptimizerConfig` says which metaparameters
+an algorithm needs; `load_config` and `sparselab lipschitz` build one to check.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ScheduleSpec:
 class OptimizerConfig:
     algorithm: str
     eta_bar: float
-    momentum_coeff: float = 0.0   # ignored for sgd
+    momentum_coeff: float | None = None   # needed by momentum and nesterov; sgd ignores it
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
 
     def __post_init__(self):
@@ -49,7 +50,9 @@ class OptimizerConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if not self.eta_bar > 0:
             raise ConfigError("eta_bar must be > 0")
-        if not 0.0 <= self.momentum_coeff < 1.0:
+        if self.algorithm != "sgd" and self.momentum_coeff is None:
+            raise ConfigError(f"{self.algorithm} needs momentum_coeff")
+        if self.momentum_coeff is not None and not 0.0 <= self.momentum_coeff < 1.0:
             raise ConfigError("momentum_coeff must be in [0, 1)")
 
 
@@ -76,10 +79,10 @@ def apply_update(params: np.ndarray, grad: np.ndarray,
                  config: OptimizerConfig, state: OptimizerState) -> float:
     """One in-place update on a flat parameter vector; returns eta_k used."""
     eta = schedule_eta(config.schedule, config.eta_bar, state.k + 1)
-    m = config.momentum_coeff
     if config.algorithm == "sgd":
         direction = grad
     else:
+        m = config.momentum_coeff
         state.velocity *= m
         state.velocity += grad
         if config.algorithm == "momentum":

@@ -116,6 +116,30 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("run", "--config", str(missing), "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+def space(name, low=0.5, high=0.9):
+    return {"name": name, "scale": "linear", "low": low, "high": high}
+
+
+# Configs whose study points or search spaces no trial could run: each fails
+# at load, before the results directory is made.
+PLANNED_BEFORE_OUT = {
+    "sparsity one": (lambda t: t["study"].update(sparsities=[1.0]),
+                     "sparsity must be in [0, 1), got 1.0"),
+    "batch size zero": (lambda t: t["study"].update(batch_sizes=[0]),
+                        "batch size must be >= 1, got 0"),
+    "no eta_bar space": (lambda t: t.update(search_spaces=[space("momentum_coeff")]),
+                         "missing 'eta_bar' in search_spaces"),
+    "nesterov without momentum_coeff": (lambda t: t["workload"].update(algorithm="nesterov"),
+                                        "nesterov needs momentum_coeff"),
+    "weight_decay space": (lambda t: t["search_spaces"].append(space("weight_decay", 0.0)),
+                           "unknown key 'weight_decay' in search_spaces"),
+    "eta_bar space twice": (lambda t: t["search_spaces"].append(space("eta_bar")),
+                            "search_spaces must have distinct names, "
+                            "got ['eta_bar', 'eta_bar']"),
+    "search spaces empty": (lambda t: t.update(search_spaces=[]),
+                            "missing 'eta_bar' in search_spaces"),
+}
+
 BAD_CONFIGS = {
     "workload unknown": (lambda t: t["workload"].update(max_stepz=50),
                          "unknown key 'max_stepz' in workload"),
@@ -156,7 +180,8 @@ BAD_CONFIGS = {
                                  train_label_noise=-0.5),
                              "workload.dataset.train_label_noise must be in [0, 1), "
                              "got -0.5"),
-    "label noise nan": (lambda t: t["workload"]["dataset"].update(train_label_noise="nan"),
+    "label noise nan": (lambda t: t["workload"]["dataset"].update(
+                            train_label_noise=float("nan")),
                         "workload.dataset.train_label_noise must be in [0, 1), got nan"),
     "idx missing": (lambda t: t["workload"].update(
                         dataset={"kind": "idx", "images": "no/such.idx"}),
@@ -190,6 +215,11 @@ BAD_CONFIGS = {
                         "study.batch_sizes must be numeric, not True"),
     "max steps bool": (lambda t: t["workload"].update(max_steps=True),
                        "workload.max_steps must be numeric, not True"),
+    "sparsity string": (lambda t: t["study"].update(sparsities=["0.5"]),
+                        "study.sparsities must be numeric, not '0.5'"),
+    "search space low string": (lambda t: t["search_spaces"][0].update(low="1e-3"),
+                                "search_spaces[0].low must be numeric, not '1e-3'"),
+    **PLANNED_BEFORE_OUT,
 }
 
 
@@ -199,6 +229,18 @@ def test_bad_config_key_is_a_config_error_naming_it(tmp_path, capsys, case):
     path = edited_smoke(tmp_path, edit)
     assert run_cli("run", "--config", path, "--out", str(tmp_path)) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(PLANNED_BEFORE_OUT))
+def test_a_study_no_trial_could_run_fails_before_out_is_made(tmp_path, capsys, case):
+    edit, message = PLANNED_BEFORE_OUT[case]
+    out = tmp_path / "results"
+    assert run_cli("run", "--config", edited_smoke(tmp_path, edit),
+                   "--out", str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""             # not even the config echo
+    assert not out.exists()
 
 
 def test_integral_floats_load_as_ints(tmp_path):
@@ -413,7 +455,8 @@ def test_lipschitz_traces_with_the_summary_momentum(tmp_path, capsys, monkeypatc
 
     assert run_cli("lipschitz", "--config", path, "--out", str(tmp_path / "empty"),
                    "--eta", "0.05") == EXIT_CONFIG
-    assert "momentum: no --momentum given" in capsys.readouterr().err
+    assert ("momentum needs momentum_coeff: give --eta/--momentum or a summary row "
+            "for B=16, s=0.0") in capsys.readouterr().err
     assert len(traced) == 1
 
 

@@ -63,6 +63,15 @@ def test_huge_learning_rate_is_infeasible():
     assert rec.steps_to_goal is None
 
 
+@pytest.mark.parametrize("algorithm", ["momentum", "nesterov"])
+def test_a_momentum_trial_or_trace_without_momentum_coeff_is_a_config_error(algorithm):
+    wl = smoke_workload(algorithm=algorithm)
+    with pytest.raises(ConfigError, match=f"{algorithm} needs momentum_coeff"):
+        run_trial(wl, StudyPoint(8, 0.0), ETA, seed=1)
+    with pytest.raises(ConfigError, match=f"{algorithm} needs momentum_coeff"):
+        trace_smoothness(wl, StudyPoint(8, 0.0), ETA, stride=8, num_steps=32, seed=1)
+
+
 def test_an_evaluation_that_overflows_ends_the_trial_infeasible():
     # At eta 1e200 the first step leaves finite weights whose forward pass
     # overflows, and the evaluation after that step is the first to run it.

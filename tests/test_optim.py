@@ -1,5 +1,7 @@
 """Update rules, schedules, mask preservation, and the convergence bound."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,17 @@ def test_non_finite_update_raises():
                      OptimizerConfig("sgd", 1.0), OptimizerState.fresh(1))
 
 
+def test_sgd_needs_no_momentum_coeff_and_keeps_its_bytes():
+    params = np.random.default_rng(5).normal(size=64)
+    state = OptimizerState.fresh(64)
+    config = OptimizerConfig("sgd", 0.1)
+    for i in range(20):
+        apply_update(params, np.random.default_rng(50 + i).normal(size=64), config, state)
+    # the bytes of this run when momentum_coeff defaulted to 0.0
+    assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == "dc0ff6e3d30b6c74"
+    assert not state.velocity.any()
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         OptimizerConfig("adam", 0.1)
@@ -136,6 +149,9 @@ def test_config_validation():
         OptimizerConfig("sgd", 0.0)
     with pytest.raises(ConfigError):
         OptimizerConfig("momentum", 0.1, momentum_coeff=1.0)
+    for algo in ("momentum", "nesterov"):
+        with pytest.raises(ConfigError, match=f"{algo} needs momentum_coeff"):
+            OptimizerConfig(algo, 0.1)
     with pytest.raises(ConfigError):
         ScheduleSpec("linear-decay", decay_horizon=0)
 
