@@ -51,8 +51,8 @@ def cmd_run(args) -> int:
     for c in table.cells:
         k = c.k_star if c.k_star is not None else "-"
         print(f"B={c.batch_size} s={c.sparsity}: K*={k} "
-              f"({c.n_complete}/{c.n_incomplete}/{c.n_infeasible} "
-              f"complete/incomplete/infeasible)")
+              f"({c.n_complete}/{c.n_stopped}/{c.n_incomplete}/{c.n_infeasible} "
+              f"complete/stopped/incomplete/infeasible)")
     if incomplete_points:
         print(f"{len(incomplete_points)} study point(s) without a complete trial: "
               f"{incomplete_points}")

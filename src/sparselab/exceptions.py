@@ -10,7 +10,14 @@ class ConfigError(ValueError):
 
 
 class NumericOverflow(ArithmeticError):
-    """A non-finite value appeared during forward/backward/update."""
+    """A non-finite value appeared during forward/backward/update.
+
+    `trials` holds the indices, along a stack's trial axis, of the trials
+    whose values are non-finite; None means all of them."""
+
+    def __init__(self, message, trials=None):
+        super().__init__(message)
+        self.trials = trials
 
 
 class StaleCacheError(RuntimeError):

@@ -3,13 +3,28 @@
 
 A trial trains a fresh copy of its sparsity's initial model (built, and
 pruned at init, once per process) with seeded shuffled mini-batches,
-evaluating on the full validation split every `eval_interval` steps. Its
+evaluating on the full validation split every `eval_interval` steps.
+
+The trials of one study point form a cell, and `run_cell` trains them in
+lockstep: as stacks (`Model.stacked`), whose step is one pass of the
+engine over every trial of the stack at once (see `nn`), side by side, and
+each trial evaluated alone at the same steps. A stack holds as many trials
+as keep the elements of its largest activation within STACK_ELEMENTS:
+stacking pays while a step's per-call overhead outweighs its arithmetic.
+The cell stops at the first evaluation at which any trial reaches the
+goal, since that evaluation fixes K* and the best trial. A trial's
 outcome is exactly one of:
 
 * complete    -- some evaluation reached the goal error within budget
+* stopped     -- another trial of its cell reached the goal first, at the
+                 same evaluation at which this one did not
 * incomplete  -- budget exhausted without reaching the goal
 * infeasible  -- training diverged (loss blowing up past 1e4x its initial
-                 value, or a non-finite value in a step or an evaluation)
+                 value, or a non-finite value in a step or an evaluation);
+                 the trial leaves its stack and the others go on
+
+A trial's record, up to where its cell stops, is the one it would get
+trained alone: `run_trial` is the cell of one trial.
 
 Steps-to-result K* for a study point is the lowest steps_to_goal over
 its complete trials; a tie goes to the lowest trial index (Sobol order).
@@ -21,6 +36,7 @@ the seed and the trial index, so resuming reuses only matching records.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import inspect
 import json
@@ -36,7 +52,7 @@ import numpy as np
 from . import nn
 from .data import Dataset, load_idx, split_validation, synth_dataset
 from .exceptions import ConfigError, NumericOverflow
-from .models import ModelSpec, build_model
+from .models import Model, ModelSpec, build_model
 from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, step
 from .prune import prune_at_init
 from .quasirand import draw_assignments
@@ -44,12 +60,15 @@ from .quasirand import draw_assignments
 # v2: pruned nets start with each unit's kept weights rescaled to the
 # unit's dense-init norm, so v1 sparse records measured another net.
 # v3: the trial key covers the whole trial, so a v2 key may name another.
-RECORD_SCHEMA = 3
+# v4: a cell stops at its K*, so an incomplete v3 record may be stopped now.
+RECORD_SCHEMA = 4
 DIVERGENCE_FACTOR = 1e4
 
 COMPLETE = "complete"
+STOPPED = "stopped"
 INCOMPLETE = "incomplete"
 INFEASIBLE = "infeasible"
+STATUSES = (COMPLETE, STOPPED, INCOMPLETE, INFEASIBLE)
 
 # The types a record field's JSON value may take, by the field's annotation
 # (a bool is no number); JSON writes an int-valued float such as 0 as an int.
@@ -84,6 +103,7 @@ class Workload:
     def __post_init__(self):
         if not isinstance(self.dataset, dict):
             raise ConfigError(f"workload.dataset must be an object, not {self.dataset!r}")
+        dataset_block(self.dataset)
         if not 0.0 <= self.goal_error <= 1.0:
             raise ConfigError("goal error must be in [0, 1]")
         if self.eval_interval < 1 or self.max_steps < 1:
@@ -122,7 +142,7 @@ class TrialRecord:
         for value, kind in typed:
             if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
                 raise TypeError(f"record holds {value!r} where {kind} is due")
-        if rec.status not in (COMPLETE, INCOMPLETE, INFEASIBLE):
+        if rec.status not in STATUSES:
             raise ValueError(f"unknown trial status {rec.status!r}")
         return rec
 
@@ -134,6 +154,7 @@ class StudyCell:
     k_star: int | None
     best_metaparams: dict | None
     n_complete: int
+    n_stopped: int
     n_incomplete: int
     n_infeasible: int
 
@@ -208,11 +229,16 @@ _COERCED = {"int": partial(number, int), "float": partial(number, float),
 
 
 def from_block(fn, block, where: str, **fallback):
-    """`fn(**block)` for a dataclass or function `fn`, matched by name;
-    `fallback` gives values for parameters that `block` omits. Unknown
-    keys and parameters left without a value are ConfigErrors naming
-    `where` and the key. Parameters annotated int, float or a tuple of
-    either are coerced."""
+    """`fn(**block)` for a dataclass or function `fn`, with `block_args`."""
+    return fn(**block_args(fn, block, where, **fallback))
+
+
+def block_args(fn, block, where: str, **fallback) -> dict:
+    """The keyword arguments `block` gives `fn`, matched by name; `fallback`
+    gives values for parameters that `block` omits. Unknown keys and
+    parameters left without a value are ConfigErrors naming `where` and
+    the key. Parameters annotated int, float or a tuple of either are
+    coerced."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object, not {block!r}")
     params = inspect.signature(fn).parameters
@@ -225,7 +251,7 @@ def from_block(fn, block, where: str, **fallback):
             args[name] = _COERCED[p.annotation](args[name], f"{where}.{name}")
         elif name not in args and p.default is p.empty:
             raise ConfigError(f"missing {name!r} in {where}")
-    return fn(**args)
+    return args
 
 
 _DATASET_CACHE: dict = {}
@@ -247,6 +273,23 @@ def _idx_files(data_root: str | None, images: str, labels: str) -> Dataset:
     return load_idx(*paths)
 
 
+def dataset_block(dataset: dict, data_root: str | None = None):
+    """(loader, its arguments, train_label_noise) of a workload's dataset
+    block: a known `kind`, keys that the kind's loader takes, and a
+    `train_label_noise` in [0, 1), or a ConfigError. Reads no file."""
+    cfg = dict(dataset)
+    kind = cfg.pop("kind", None)
+    train_noise = number(float, cfg.pop("train_label_noise", 0.0),
+                         "workload.dataset.train_label_noise")
+    if not 0.0 <= train_noise < 1.0:            # NaN fails too
+        raise ConfigError(f"workload.dataset.train_label_noise must be in [0, 1), "
+                          f"got {train_noise}")
+    loaders = {"synth": synth_dataset, "idx": partial(_idx_files, data_root)}
+    if kind not in loaders:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    return loaders[kind], block_args(loaders[kind], cfg, "workload.dataset"), train_noise
+
+
 def resolve_dataset(workload: Workload, data_root: str | None = None):
     """Build (train, validation) splits; cached per process.
 
@@ -258,17 +301,8 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
     key = _dataset_key(workload, data_root)
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
-    cfg = dict(workload.dataset)
-    kind = cfg.pop("kind", None)
-    train_noise = number(float, cfg.pop("train_label_noise", 0.0),
-                         "workload.dataset.train_label_noise")
-    if not 0.0 <= train_noise < 1.0:            # NaN fails too
-        raise ConfigError(f"workload.dataset.train_label_noise must be in [0, 1), "
-                          f"got {train_noise}")
-    loaders = {"synth": synth_dataset, "idx": partial(_idx_files, data_root)}
-    if kind not in loaders:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
-    full = from_block(loaders[kind], cfg, "workload.dataset")
+    loader, args, train_noise = dataset_block(workload.dataset, data_root)
+    full = loader(**args)
     full.inputs = _shaped(full.inputs, workload.model_spec)
     train, val = split_validation(full, seed=workload.data_seed)
     if train_noise > 0.0:
@@ -352,13 +386,123 @@ def _pin_heap_thresholds():
     mallopt(-3, 32 << 20)         # M_MMAP_THRESHOLD
 
 
-def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
-              seed: int, trial_index: int = 0, data_root: str | None = None,
-              step_hook=None) -> TrialRecord:
-    """Train one metaparameter assignment to completion/divergence/budget.
+# Elements in the largest array of a stack's forward pass (a layer's output
+# or Conv3x3's patch matrix), summed over the stack's trials, up to which a
+# cell stacks its trials. On two cores, trials stacked two at a time gained
+# on the MLP's 2x128 rows (24,576 elements) and cnn-lite's 2x16 images
+# (451,584) and lost on cnn-lite's 2x64 images (1,806,336).
+STACK_ELEMENTS = 1 << 19
 
-    Fully determined by (workload, point, metaparams, seed). `step_hook`,
-    when given, is called as hook(model, step_index) after every update
+
+@functools.lru_cache(maxsize=None)
+def _sample_elements(spec: ModelSpec) -> int:
+    """Elements per sample of the largest array one forward pass makes: a
+    layer's output or what it keeps for backward."""
+    model = build_model(spec)
+    x, largest = np.zeros((1, *spec.input_shape)), 0
+    for layer, views in zip(model.layers, model.masked_param_views()):
+        x, cache = layer.forward(x, views)
+        kept = [a for a in (cache if isinstance(cache, tuple) else (cache,))
+                if isinstance(a, np.ndarray)]
+        largest = max(largest, x.size, *(a.size for a in kept))
+    return largest
+
+
+def stack_size(spec: ModelSpec, batch_size: int) -> int:
+    """Trials per stack at `batch_size`: as many as keep the stack's largest
+    activation within STACK_ELEMENTS, and at least one."""
+    return max(1, STACK_ELEMENTS // (batch_size * _sample_elements(spec)))
+
+
+@dataclass(eq=False)
+class _Trial:
+    """One trial of a cell while it trains: what its record will hold."""
+    index: int
+    metaparams: dict
+    seed: int
+    key: str
+    config: OptimizerConfig
+    batches: object               # its endless index batches
+    history: list = field(default_factory=list)
+    loss: float = float("nan")    # its loss at its last step that computed one
+    record: TrialRecord | None = None
+
+
+class _Stack:
+    """Live trials of a cell that step as one (T, m) model."""
+
+    def __init__(self, init: Model, trials: list):
+        self.trials = trials
+        self.model = init.stacked(len(trials))
+        self.state = OptimizerState.fresh(self.model.params.shape)
+        self.limit = None         # DIVERGENCE_FACTOR times each trial's loss at step 1
+
+    def drop(self, rows, finish):
+        """Finish the trials at `rows` (None: all) as infeasible and take
+        them off the stack; returns the rows kept."""
+        rows = set(range(len(self.trials)) if rows is None else rows.tolist())
+        for r in sorted(rows):
+            finish(self.trials[r], INFEASIBLE, self.model.params[r])
+        keep = [r for r in range(len(self.trials)) if r not in rows]
+        self.trials = [self.trials[r] for r in keep]
+        self.model.params = self.model.params[keep]
+        self.model.bump_version()
+        self.state.velocity = self.state.velocity[keep]
+        if self.limit is not None:
+            self.limit = self.limit[keep]
+        return keep
+
+    def train_step(self, inputs, labels, finish):
+        """One step of every trial; a trial whose step fails leaves as infeasible."""
+        idx = np.stack([next(t.batches) for t in self.trials])
+        while self.trials:
+            try:
+                loss, _, grad = nn.batch_gradient(self.model, inputs[idx], labels[idx])
+                break
+            except NumericOverflow as e:     # the others' step is the same without them
+                idx = idx[self.drop(e.trials, finish)]
+        else:
+            return
+        for t, value in zip(self.trials, loss):
+            t.loss = float(value)
+        if self.limit is None:
+            self.limit = DIVERGENCE_FACTOR * np.maximum(loss, 1e-12)
+        diverged = ~np.isfinite(loss) | (loss > self.limit)
+        if diverged.any():
+            grad.flat = grad.flat[self.drop(np.flatnonzero(diverged), finish)]
+            if not self.trials:
+                return
+        try:
+            step(self.model, grad, [t.config for t in self.trials], self.state)
+        except NumericOverflow as e:
+            self.drop(e.trials, finish)
+
+    def evaluate(self, k, val, finish) -> list:
+        """Each trial's validation error, evaluated alone, into its history;
+        a trial whose evaluation overflows leaves as infeasible. Returns
+        the (trial, error) pairs."""
+        errors, overflowed = [], []
+        for r, t in enumerate(self.trials):
+            try:
+                errors.append((t, nn.error_rate(self.model.row(r), val.inputs, val.labels)))
+            except NumericOverflow:
+                overflowed.append(r)
+            else:
+                t.history.append((k, errors[-1][1]))
+        if overflowed:
+            self.drop(np.array(overflowed), finish)
+        return errors
+
+
+def run_cell(workload: Workload, point: StudyPoint, trials: list,
+             data_root: str | None = None, step_hook=None) -> list:
+    """Train one study point's trials, each a (trial_index, metaparams, seed),
+    in lockstep to the cell's first evaluation at which any reaches the goal;
+    returns their records in the order given.
+
+    Each record is fully determined by its trial's own inputs and the step
+    at which the cell stops. `step_hook`, for a cell of one trial, is called
+    as hook(model, step_index) after every update, with the trial's model
     (used by the smoothness tracer; it must not mutate the model).
     """
     _pin_heap_thresholds()
@@ -366,55 +510,68 @@ def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
     if point.batch_size > len(train):
         raise ConfigError(
             f"batch size {point.batch_size} exceeds training set ({len(train)})")
+    cell = [_Trial(index, metaparams, seed,
+                   trial_key(workload, point, metaparams, seed, index),
+                   from_block(OptimizerConfig, metaparams, "metaparams",
+                              algorithm=workload.algorithm, schedule=workload.schedule),
+                   _batches(len(train), point.batch_size,
+                            np.random.default_rng([seed, 0x02DE])))
+            for index, metaparams, seed in trials]
+    init = initial_model(workload, point.sparsity, data_root)
 
-    model = initial_model(workload, point.sparsity, data_root)
+    def finish(t: _Trial, status: str, params: np.ndarray, steps_to_goal=None):
+        if np.any(params[init.mask == 0.0] != 0.0):
+            raise RuntimeError(f"trial {t.key}: mask violated during training")
+        t.record = TrialRecord(
+            trial_key=t.key, batch_size=point.batch_size, sparsity=point.sparsity,
+            trial_index=t.index, metaparams=dict(t.metaparams), seed=t.seed,
+            status=status, steps_to_goal=steps_to_goal, history=list(t.history),
+            final_loss=t.loss)
+
+    size = stack_size(workload.model_spec, point.batch_size)
+    stacks = [_Stack(init, cell[i:i + size]) for i in range(0, len(cell), size)]
     if step_hook is not None:
-        step_hook(model, 0)
+        hooked = stacks[0].model.row(0)
+        step_hook(hooked, 0)
 
-    config = from_block(OptimizerConfig, metaparams, "metaparams",
-                        algorithm=workload.algorithm, schedule=workload.schedule)
-    state = OptimizerState.fresh(model.param_count)
-    order_rng = np.random.default_rng([seed, 0x02DE])
-
-    key = trial_key(workload, point, metaparams, seed, trial_index)
-    history = []
-    status = INCOMPLETE
-    steps_to_goal = None
-    loss = float("nan")
-    initial_loss = None
-
-    batches = _batches(len(train), point.batch_size, order_rng)
+    reached = []
     for k in range(1, workload.max_steps + 1):
-        idx = next(batches)
-        try:
-            loss, _, grad = nn.batch_gradient(model, train.inputs[idx],
-                                              train.labels[idx])
-            if initial_loss is None:
-                initial_loss = loss
-            if not np.isfinite(loss) or loss > DIVERGENCE_FACTOR * max(initial_loss, 1e-12):
-                status = INFEASIBLE
-                break
-            step(model, grad, config, state)
-            if step_hook is not None:
-                step_hook(model, k)
-            if k % workload.eval_interval == 0:
-                err = nn.error_rate(model, val.inputs, val.labels)
-                history.append((k, err))
-                if err <= workload.goal_error:
-                    status = COMPLETE
-                    steps_to_goal = k
-                    break
-        except NumericOverflow:
-            status = INFEASIBLE
+        stacks = [st for st in stacks if st.trials]
+        if not stacks:
             break
+        for st in stacks:
+            st.train_step(train.inputs, train.labels, finish)
+        if step_hook is not None and stacks[0].trials:
+            hooked.bump_version()
+            step_hook(hooked, k)
+        if k % workload.eval_interval == 0:
+            reached = [t for st in stacks for t, err in st.evaluate(k, val, finish)
+                       if err <= workload.goal_error]
+            if reached:
+                break
+    for st in stacks:
+        for t, params in zip(st.trials, st.model.params):
+            if not reached:
+                finish(t, INCOMPLETE, params)
+            elif t in reached:
+                finish(t, COMPLETE, params, steps_to_goal=k)
+            else:
+                finish(t, STOPPED, params)
+    return [t.record for t in cell]
 
-    if np.any(model.params[model.mask == 0.0] != 0.0):
-        raise RuntimeError(f"trial {key}: mask violated during training")
-    return TrialRecord(
-        trial_key=key, batch_size=point.batch_size, sparsity=point.sparsity,
-        trial_index=trial_index, metaparams=dict(metaparams), seed=seed,
-        status=status, steps_to_goal=steps_to_goal, history=history,
-        final_loss=float(loss))
+
+def run_trial(workload: Workload, point: StudyPoint, metaparams: dict,
+              seed: int, trial_index: int = 0, data_root: str | None = None,
+              step_hook=None) -> TrialRecord:
+    """Train one metaparameter assignment to completion/divergence/budget:
+    the cell of this one trial.
+
+    Fully determined by (workload, point, metaparams, seed). `step_hook`,
+    when given, is called as hook(model, step_index) after every update
+    (used by the smoothness tracer; it must not mutate the model).
+    """
+    return run_cell(workload, point, [(trial_index, metaparams, seed)], data_root,
+                    step_hook)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +599,7 @@ def aggregate(records: list, cfg: StudyConfig) -> StudyTable:
                 k_star=None if best is None else best.steps_to_goal,
                 best_metaparams=None if best is None else best.metaparams,
                 n_complete=sum(r.status == COMPLETE for r in cell_records),
+                n_stopped=sum(r.status == STOPPED for r in cell_records),
                 n_incomplete=sum(r.status == INCOMPLETE for r in cell_records),
                 n_infeasible=sum(r.status == INFEASIBLE for r in cell_records),
             ))
@@ -515,31 +673,40 @@ def _pin_one_blas_thread():
 
 def run_study(cfg: StudyConfig, records_path, workers: int = 1,
               progress=None) -> StudyTable:
-    """Run (or resume) a full study; returns the aggregated table.
+    """Run (or resume) a full study, one cell (study point) at a time;
+    returns the aggregated table.
 
-    Planned trials whose key is in the records file are skipped, so
-    reruns after interruption execute only the missing work.
+    A cell runs unless every one of its planned keys is in the records
+    file, so reruns after interruption execute only the missing work; a
+    cell that runs again appends only the records that were missing.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     existing = load_records(records_path)
     plan = planned_trials(cfg)
-    todo = [(cfg.workload, point, mp, seed, i, cfg.data_root)
-            for point, i, mp, seed, key in plan if key not in existing]
+    cells = {}
+    for point, i, mp, seed, key in plan:
+        cells.setdefault(point, []).append((i, mp, seed, key))
+    todo = [(cfg.workload, point, [trial[:3] for trial in trials], cfg.data_root)
+            for point, trials in cells.items()
+            if any(key not in existing for *_, key in trials)]
 
     parallel = workers > 1 and len(todo) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_pin_one_blas_thread)
           if parallel else nullcontext()) as pool:
         if parallel:
-            futures = [pool.submit(run_trial, *t) for t in todo]
+            futures = [pool.submit(run_cell, *t) for t in todo]
             done = (f.result() for f in as_completed(futures))
         else:
-            done = (run_trial(*t) for t in todo)
-        for rec in done:
-            append_record(records_path, rec)
-            existing[rec.trial_key] = rec
-            if progress:
-                progress(rec)
+            done = (run_cell(*t) for t in todo)
+        for cell_records in done:
+            for rec in cell_records:
+                if rec.trial_key in existing:
+                    continue
+                append_record(records_path, rec)
+                existing[rec.trial_key] = rec
+                if progress:
+                    progress(rec)
 
     planned_keys = {key for *_, key in plan}
     records = [existing[k] for k in sorted(planned_keys) if k in existing]

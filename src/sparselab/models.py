@@ -10,8 +10,10 @@ All parameters live in one flat float64 vector; each layer's weights are
 reshaped views into it. A binary mask of the same length marks pruned
 coordinates (1 = kept; all ones = unpruned). ``prune.apply_mask`` zeroes
 the pruned parameters, and training keeps them zero because their
-gradient is zero. ``cnn-lite`` is deliberately the smallest net
-exercising conv backprop, not a faithful residual architecture.
+gradient is zero. A stack of T trials of one net (``Model.stacked``) holds
+their vectors as the rows of a (T, m) array under the one mask.
+``cnn-lite`` is deliberately the smallest net exercising conv backprop,
+not a faithful residual architecture.
 """
 
 from __future__ import annotations
@@ -66,22 +68,45 @@ class Model:
 
     @property
     def param_count(self) -> int:
-        return self.params.size
+        """m, the parameters of one trial."""
+        return self.params.shape[-1]
+
+    @property
+    def trials(self) -> int:
+        """T, the rows of a stack's (T, m) params; 1 for a length-m vector."""
+        return self.params.size // self.param_count
 
     def bump_version(self):
         self.params_version += 1
 
+    def stacked(self, count: int) -> "Model":
+        """A stack of `count` copies of this model's parameters, as the rows
+        of a (count, m) array, under this model's mask."""
+        stack = Model(self.spec, self.layers)
+        stack.params = np.tile(self.params, (count, 1))
+        stack.mask = self.mask
+        return stack
+
+    def row(self, t: int) -> "Model":
+        """Trial t of a stack as a model whose params are a view of its row."""
+        one = Model(self.spec, self.layers)
+        one.params = self.params[t]
+        one.mask = self.mask
+        return one
+
     def _views_of(self, buffer: np.ndarray) -> list:
-        return [[buffer[s].reshape(shape) for s, shape in entries]
+        lead = buffer.shape[:-1]
+        return [[buffer[..., s].reshape(lead + shape) for s, shape in entries]
                 for entries in self._slices]
 
     def param_views(self) -> list:
-        """Per-layer writable views of the raw parameter vector."""
+        """Per-layer writable views of the raw parameters, shaped like them."""
         return self._views_of(self.params)
 
     def masked_param_views(self) -> list:
-        """Per-layer views of params with pruned coordinates forced to zero."""
-        return self._views_of(self.params * self.mask)
+        """Per-layer views of params with pruned coordinates forced to zero,
+        each with a leading trial axis (of length 1 for a length-m vector)."""
+        return self._views_of((self.params * self.mask).reshape(self.trials, -1))
 
     def mask_views(self) -> list:
         """Per-layer views of the mask, shaped like the parameters."""

@@ -4,6 +4,17 @@ Layers operate on explicit numpy arrays and keep their parameters as
 views into the owning model's flat parameter vector, so the optimizer
 and the pruning mask can treat the whole network as one length-m vector.
 
+Every pass runs on a stack of T trials: a model whose parameters are a
+(T, m) array under one shared mask, and whose batch is (T, B, ...), one
+batch per trial. A model with a length-m vector is the stack of one.
+`Affine` and `Conv3x3` take T from their parameter views, which carry a
+leading trial axis, and run one batched `np.matmul`: one gemm per trial,
+the very call a one-trial pass makes. Every other layer and the softmax
+act on the T*B rows merged, row by row. So each trial's bytes are those
+of a pass on its own, whatever else is in the stack. Gradients and
+per-trial losses come back with the parameters' leading shape, and a
+non-finite value raises NumericOverflow naming the trials it hit.
+
 Backward returns the gradient of the *mean* loss over the batch, i.e. an
 unbiased estimate of the full-data gradient under i.i.d. sampling, and
 stops at the first layer with parameters, whose input gradient is unused.
@@ -62,20 +73,23 @@ class Affine:
         return [(self.n_in, self.n_out), (self.n_out,)]
 
     def forward(self, x, params):
-        W, b = params
+        W, b = params                       # (T, n_in, n_out), (T, n_out)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ConfigError(
                 f"affine expects (batch, {self.n_in}) input, got {x.shape}")
-        y = x @ W
-        y += b
-        return y, x
+        y = np.matmul(x.reshape(len(b), -1, self.n_in), W)
+        y += b[:, None, :]
+        return y.reshape(-1, self.n_out), x
 
     def backward(self, d_out, cache, params, need_input=True):
-        W, _ = params
-        x = cache
-        d_W = x.T @ d_out
-        d_b = _column_sums(d_out)
-        return d_out @ W.T if need_input else None, [d_W, d_b]
+        W, b = params
+        x = cache.reshape(len(b), -1, self.n_in)
+        d = d_out.reshape(len(b), -1, self.n_out)
+        d_W = np.matmul(x.transpose(0, 2, 1), d)
+        d_b = _column_sums(d)
+        if not need_input:
+            return None, [d_W, d_b]
+        return np.matmul(d, W.transpose(0, 2, 1)).reshape(-1, self.n_in), [d_W, d_b]
 
     def example_sq_norms(self, d_out, cache, masks):
         """Per row i, ||m * g_i||^2 of the row's own gradient
@@ -117,34 +131,37 @@ class Conv3x3:
         return [(3, 3, self.c_in, self.c_out), (self.c_out,)]
 
     def forward(self, x, params):
-        K, b = params
+        K, b = params                       # (T, 3, 3, c_in, c_out), (T, c_out)
         if x.ndim != 4 or x.shape[3] != self.c_in:
             raise ConfigError(
                 f"conv expects (batch, h, w, {self.c_in}) input, got {x.shape}")
         n, h, w, c = x.shape
+        t = len(b)
         padded = np.zeros((n, h + 2, w + 2, c))
         padded[:, 1:-1, 1:-1] = x
         # flat[(n, y, x), (i, j, c)] = padded[n, y + i, x + j, c]: one gather of pixel rows
         flat = np.take(padded.reshape(n, -1, c), _tap_pixels(h, w), axis=1)
         flat = flat.reshape(n * h * w, 9 * c)
-        y = flat @ K.reshape(9 * c, self.c_out)
-        rows = y.reshape(n * h, w * self.c_out)
-        rows += np.tile(b, w)
+        y = np.matmul(flat.reshape(t, -1, 9 * c), K.reshape(t, 9 * c, self.c_out))
+        rows = y.reshape(t, -1, w * self.c_out)
+        rows += np.tile(b, w)[:, None, :]
         return y.reshape(n, h, w, self.c_out), (flat, x.shape)
 
     def backward(self, d_out, cache, params, need_input=True):
-        K, _ = params
+        K, b = params
         flat, x_shape = cache
         n, h, w, _ = x_shape
-        d_flat_out = d_out.reshape(n * h * w, self.c_out)
-        d_K = (flat.T @ d_flat_out).reshape(3, 3, self.c_in, self.c_out)
+        t = len(b)
+        d_flat_out = d_out.reshape(t, -1, self.c_out)
+        d_K = np.matmul(flat.reshape(t, -1, 9 * self.c_in).transpose(0, 2, 1), d_flat_out)
+        d_K = d_K.reshape(t, 3, 3, self.c_in, self.c_out)
         d_b = _column_sums(d_flat_out)
         if not need_input:
             return None, [d_K, d_b]
         d_padded = np.zeros((n, h + 2, w + 2, self.c_in))
         for i in range(3):
             for j in range(3):
-                d_tap = d_flat_out @ K[i, j].T
+                d_tap = np.matmul(d_flat_out, K[:, i, j].transpose(0, 2, 1))
                 d_padded[:, i:i + h, j:j + w, :] += d_tap.reshape(n, h, w, self.c_in)
         return d_padded[:, 1:1 + h, 1:1 + w, :], [d_K, d_b]
 
@@ -230,9 +247,10 @@ class Flatten:
 
 @dataclass
 class Gradient:
-    """Flat length-m gradient, in the model's parameter order, and, when
-    asked for, each example's masked squared norm ||m * g_i||^2 of its own
-    (not batch-averaged) gradient."""
+    """Flat gradient in the model's parameter order, shaped like its
+    parameters (length m, or (T, m) for a stack), and, when asked for (one
+    trial only), each example's masked squared norm ||m * g_i||^2 of its
+    own (not batch-averaged) gradient."""
 
     flat: np.ndarray
     example_sq_norms: np.ndarray | None = None
@@ -245,8 +263,17 @@ class BatchCache:
     layer_caches: list
     param_views: list
     params_version: int
-    batch_size: int
+    batch_size: int               # per trial
     consumed: bool = False
+
+
+def _check_finite(a, trials: int, what: str):
+    """Raise NumericOverflow naming each trial whose rows of `a` (the
+    trials' rows in order) hold a non-finite value."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = ~finite.reshape(trials, -1).all(axis=1)
+        raise NumericOverflow(f"non-finite {what}", np.flatnonzero(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +281,15 @@ class BatchCache:
 # ---------------------------------------------------------------------------
 
 def forward(model, inputs: np.ndarray):
-    """Run the model on a batch; returns (logits, cache).
+    """Run the model on a batch, (B, ...) for one trial or (T, B, ...) for a
+    stack; returns (logits, cache), with the logits as T*B merged rows.
 
     Takes the model's masked parameter views once, so the output is
     invariant to whatever values the raw vector stores at pruned positions,
     and keeps them in the cache for backward.
     """
     x = np.asarray(inputs, dtype=np.float64)
+    x = x.reshape((-1,) + x.shape[model.params.ndim:])
     if x.shape[0] < 1:
         raise ConfigError("empty batch")
     param_views = model.masked_param_views()
@@ -268,16 +297,16 @@ def forward(model, inputs: np.ndarray):
     for layer, views in zip(model.layers, param_views):
         x, cache = layer.forward(x, views)
         layer_caches.append(cache)
-    if not np.all(np.isfinite(x)):
-        raise NumericOverflow("non-finite activation in forward pass")
-    return x, BatchCache(layer_caches, param_views, model.params_version, len(x))
+    trials = model.trials
+    _check_finite(x, trials, "activation in forward pass")
+    return x, BatchCache(layer_caches, param_views, model.params_version, len(x) // trials)
 
 
 def _softmax_pass(logits, targets):
     """The output layer in one exp pass over finite logits: each row's target
-    log-probability, the argmax miss count (ties break toward the lowest
+    log-probability, each row's argmax miss (ties break toward the lowest
     class index) and the softmax, which backward overwrites."""
-    targets = np.asarray(targets)
+    targets = np.asarray(targets).reshape(-1)
     if logits.shape[0] != targets.shape[0]:
         raise ConfigError(
             f"{logits.shape[0]} logit rows vs {targets.shape[0]} targets")
@@ -287,15 +316,15 @@ def _softmax_pass(logits, targets):
     sums = e.sum(axis=1)
     log_probs = shifted[rows, targets] - np.log(sums)
     e /= sums[:, None]
-    return log_probs, int((pred != targets).sum()), e
+    return log_probs, pred != targets, e
 
 
 def loss_and_error(logits: np.ndarray, targets: np.ndarray):
     """Softmax cross-entropy (log-sum-exp stabilized) and argmax error rate."""
     if not np.all(np.isfinite(logits)):
         raise NumericOverflow("non-finite logits")
-    log_probs, wrong, _ = _softmax_pass(logits, targets)
-    return float(-log_probs.mean()), wrong / len(log_probs)
+    log_probs, missed, _ = _softmax_pass(logits, targets)
+    return float(-log_probs.mean()), int(missed.sum()) / len(log_probs)
 
 
 def backward(model, cache: BatchCache, targets: np.ndarray, probs: np.ndarray,
@@ -318,7 +347,7 @@ def backward(model, cache: BatchCache, targets: np.ndarray, probs: np.ndarray,
     cache.consumed = True
 
     d_out = probs
-    d_out[np.arange(len(targets)), targets] -= 1.0
+    d_out[np.arange(len(d_out)), np.asarray(targets).reshape(-1)] -= 1.0
     d_out /= cache.batch_size
 
     sq_norms = np.zeros(cache.batch_size) if example_norms else None
@@ -333,21 +362,24 @@ def backward(model, cache: BatchCache, targets: np.ndarray, probs: np.ndarray,
         d_out, layer_d = (layer.backward(d_out, layer_cache, views) if k > first
                           else layer.backward(d_out, layer_cache, views, False))
         d_params[:0] = layer_d
-    flat = np.concatenate([d.ravel() for d in d_params])
+    trials = model.trials
+    flat = np.concatenate([d.reshape(trials, -1) for d in d_params], axis=1)
     flat *= model.mask
-    if not np.all(np.isfinite(flat)):
-        raise NumericOverflow("non-finite gradient")
+    _check_finite(flat, trials, "gradient")
     if example_norms:
         sq_norms *= cache.batch_size ** 2     # d_out carried the mean's 1/n
-    return Gradient(flat, sq_norms)
+    return Gradient(flat.reshape(model.params.shape), sq_norms)
 
 
 def batch_gradient(model, inputs, targets):
-    """forward, one softmax pass and backward; returns (loss, error, Gradient)."""
+    """forward, one softmax pass and backward; returns (loss, error,
+    Gradient), the loss and the error per trial for a stack."""
     logits, cache = forward(model, inputs)
-    log_probs, wrong, probs = _softmax_pass(logits, targets)
+    log_probs, missed, probs = _softmax_pass(logits, targets)
     grad = backward(model, cache, targets, probs)
-    return float(-log_probs.mean()), wrong / len(log_probs), grad
+    rows = model.params.shape[:-1] + (-1,)
+    n = cache.batch_size              # the sums and divisions of `mean`
+    return -(log_probs.reshape(rows).sum(axis=-1) / n), missed.reshape(rows).sum(axis=-1) / n, grad
 
 
 def _chunks(n):
@@ -429,13 +461,13 @@ def sweep(model, inputs, labels, example_norms: bool = False):
     one-thread serial sweep byte for byte at any thread count."""
     def chunk_pass(chunk):
         out, cache = forward(model, inputs[chunk])
-        log_probs, wrong, probs = _softmax_pass(out, labels[chunk])
-        return log_probs, wrong, backward(model, cache, labels[chunk], probs, example_norms)
+        log_probs, missed, probs = _softmax_pass(out, labels[chunk])
+        return log_probs, missed, backward(model, cache, labels[chunk], probs, example_norms)
 
     log_probs, wrong, norms, total = [], 0, [], np.zeros(model.param_count)
-    for chunk_log_probs, chunk_wrong, grad in _in_chunk_order(chunk_pass, _chunks(len(labels))):
+    for chunk_log_probs, missed, grad in _in_chunk_order(chunk_pass, _chunks(len(labels))):
         log_probs.append(chunk_log_probs)
-        wrong += chunk_wrong
+        wrong += int(missed.sum())
         total += grad.flat * len(chunk_log_probs)
         norms.append(grad.example_sq_norms)
     n = len(labels)

@@ -7,8 +7,11 @@ All three are instances of the generic iteration
 with g_k the raw mini-batch gradient (sgd), the velocity buffer
 (momentum), or the look-ahead combination (nesterov). The update is
 coordinate-wise, so a coordinate whose gradient is always zero keeps a
-zero velocity and never moves. Only `OptimizerConfig` says which metaparameters
-an algorithm needs; `load_config` and `sparselab lipschitz` build one to check.
+zero velocity and never moves. A stack of trials updates as one (T, m)
+array, each row with its own config's eta and momentum: the same
+arithmetic, element by element, as each row updated alone. Only
+`OptimizerConfig` says which metaparameters an algorithm needs;
+`load_config` and `sparselab lipschitz` build one to check.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+        if not isinstance(self.schedule, ScheduleSpec):
+            raise ConfigError(f"schedule must be a ScheduleSpec, not {self.schedule!r}")
         if not self.eta_bar > 0:
             raise ConfigError("eta_bar must be > 0")
         if self.algorithm != "sgd" and self.momentum_coeff is None:
@@ -62,8 +67,9 @@ class OptimizerState:
     k: int = 0                    # completed steps
 
     @classmethod
-    def fresh(cls, param_count: int) -> "OptimizerState":
-        return cls(np.zeros(param_count))
+    def fresh(cls, shape) -> "OptimizerState":
+        """A zero velocity of `shape`: m, or (T, m) for a stack."""
+        return cls(np.zeros(shape))
 
 
 def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
@@ -75,29 +81,41 @@ def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
     return eta_bar * max(spec.floor_fraction, frac)
 
 
-def apply_update(params: np.ndarray, grad: np.ndarray,
-                 config: OptimizerConfig, state: OptimizerState) -> float:
-    """One in-place update on a flat parameter vector; returns eta_k used."""
-    eta = schedule_eta(config.schedule, config.eta_bar, state.k + 1)
-    if config.algorithm == "sgd":
+def _per_row(params, values) -> np.ndarray:
+    """`values`, one per row of `params`, as a column that broadcasts over them."""
+    return np.array(values).reshape(params.shape[:-1] + (1,))
+
+
+def apply_update(params: np.ndarray, grad: np.ndarray, config, state: OptimizerState):
+    """One in-place update of a length-m vector under one OptimizerConfig, or
+    of a stack's (T, m) rows under a sequence of T configs that share the
+    algorithm and the schedule; returns eta_k used, per row for a stack.
+    A non-finite result raises NumericOverflow naming its rows."""
+    configs = (config,) if isinstance(config, OptimizerConfig) else tuple(config)
+    first = configs[0]
+    eta = _per_row(params, [schedule_eta(c.schedule, c.eta_bar, state.k + 1) for c in configs])
+    if first.algorithm == "sgd":
         direction = grad
     else:
-        m = config.momentum_coeff
+        m = _per_row(params, [c.momentum_coeff for c in configs])
         state.velocity *= m
         state.velocity += grad
-        if config.algorithm == "momentum":
+        if first.algorithm == "momentum":
             direction = state.velocity
         else:  # nesterov look-ahead
             direction = grad + m * state.velocity
     params -= eta * direction
     state.k += 1
-    if not np.all(np.isfinite(params)):
-        raise NumericOverflow(f"non-finite parameters after step {state.k}")
-    return eta
+    finite = np.isfinite(params)
+    if not finite.all():
+        bad = ~finite.reshape(len(configs), -1).all(axis=1)
+        raise NumericOverflow(f"non-finite parameters after step {state.k}", np.flatnonzero(bad))
+    return eta.reshape(params.shape[:-1])[()]
 
 
-def step(model, grad, config: OptimizerConfig, state: OptimizerState) -> float:
-    """Update a model in place from an nn.Gradient; returns eta_k used."""
+def step(model, grad, config, state: OptimizerState):
+    """Update a model, or a stack under one config per trial, in place from
+    an nn.Gradient; returns eta_k used."""
     if grad.flat.shape != model.params.shape:
         raise ConfigError("gradient length does not match parameter count")
     eta = apply_update(model.params, grad.flat, config, state)

@@ -30,11 +30,13 @@ RATIOS_FILE = "ratios.csv"
 REPORT_FILE = "report.md"
 
 # kind -> (schema version, columns as (name, type, format spec), nullable columns)
+# summary v2: n_stopped, and n_incomplete no longer counts trials cut off at K*.
 TABLES = {
-    "summary": (1, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
+    "summary": (2, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
                     ("eta_star", float, ".8g"), ("momentum_star", float, ".8g"),
-                    ("n_complete", int, ""), ("n_incomplete", int, ""),
-                    ("n_infeasible", int, "")), {"K_star", "eta_star", "momentum_star"}),
+                    ("n_complete", int, ""), ("n_stopped", int, ""),
+                    ("n_incomplete", int, ""), ("n_infeasible", int, "")),
+                {"K_star", "eta_star", "momentum_star"}),
     "fits": (2, (("B", int, ""), ("s", float, ""), ("K_star", int, ""),
                  ("K_hat", float, ".4f"), ("c1", float, ".6g"), ("c2", float, ".6g"),
                  ("residual", float, ".6g")), set()),
@@ -98,8 +100,9 @@ def write_summary(table, path):
         {"B": c.batch_size, "s": c.sparsity, "K_star": c.k_star,
          "eta_star": (c.best_metaparams or {}).get("eta_bar"),
          "momentum_star": (c.best_metaparams or {}).get("momentum_coeff"),
-         "n_complete": c.n_complete, "n_incomplete": c.n_incomplete,
-         "n_infeasible": c.n_infeasible} for c in table.cells),
+         "n_complete": c.n_complete, "n_stopped": c.n_stopped,
+         "n_incomplete": c.n_incomplete, "n_infeasible": c.n_infeasible}
+        for c in table.cells),
         f" workload={table.workload_id} goal={table.goal_error} budget={table.budget}")
 
 
@@ -141,8 +144,8 @@ def _scaling_section(rows: list) -> list:
                 if r["K_star"] is not None and base}
         lines += _markdown_table(
             f"### sparsity {s:g}",
-            ("B", "K*", "K*/K*(B_min)", "complete", "incomplete", "infeasible"),
-            ((r["B"], r["K_star"], norm.get(r["B"]), r["n_complete"],
+            ("B", "K*", "K*/K*(B_min)", "complete", "stopped", "incomplete", "infeasible"),
+            ((r["B"], r["K_star"], norm.get(r["B"]), r["n_complete"], r["n_stopped"],
               r["n_incomplete"], r["n_infeasible"]) for r in sub))
     return lines
 

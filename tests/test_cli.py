@@ -34,7 +34,7 @@ def edited_smoke(tmp_path, edit):
 def test_smoke_run_writes_summary_with_one_row_per_study_point(tmp_path, capsys):
     assert run_cli("run", "--config", SMOKE, "--out", str(tmp_path)) == EXIT_OK
     summary = (tmp_path / "summary.csv").read_text().splitlines()
-    assert summary[0].startswith("# sparselab-summary v1")
+    assert summary[0].startswith("# sparselab-summary v2")
     assert len(summary) == 2 + 3          # header comment + columns + 3 rows
     assert (tmp_path / "records.jsonl").exists()
 
@@ -120,8 +120,8 @@ def space(name, low=0.5, high=0.9):
     return {"name": name, "scale": "linear", "low": low, "high": high}
 
 
-# Configs whose study points or search spaces no trial could run: each fails
-# at load, before the results directory is made.
+# Configs whose study points, search spaces or data set no trial could run:
+# each fails at load, before the results directory is made.
 PLANNED_BEFORE_OUT = {
     "sparsity one": (lambda t: t["study"].update(sparsities=[1.0]),
                      "sparsity must be in [0, 1), got 1.0"),
@@ -138,6 +138,28 @@ PLANNED_BEFORE_OUT = {
                             "got ['eta_bar', 'eta_bar']"),
     "search spaces empty": (lambda t: t.update(search_spaces=[]),
                             "missing 'eta_bar' in search_spaces"),
+    "schedule space": (lambda t: t["search_spaces"].append(space("schedule")),
+                       "schedule must be a ScheduleSpec, not 0."),
+    "synth unknown": (lambda t: t["workload"]["dataset"].update(seperation=3.0),
+                      "unknown key 'seperation' in workload.dataset"),
+    "synth missing": (lambda t: t["workload"]["dataset"].pop("dims"),
+                      "missing 'dims' in workload.dataset"),
+    "synth non-numeric": (lambda t: t["workload"]["dataset"].update(separation="far"),
+                          "workload.dataset.separation must be numeric"),
+    "synth label_noise": (lambda t: t["workload"]["dataset"].update(label_noise=0.1),
+                          "unknown key 'label_noise' in workload.dataset"),
+    "label noise negative": (lambda t: t["workload"]["dataset"].update(
+                                 train_label_noise=-0.5),
+                             "workload.dataset.train_label_noise must be in [0, 1), "
+                             "got -0.5"),
+    "label noise nan": (lambda t: t["workload"]["dataset"].update(
+                            train_label_noise=float("nan")),
+                        "workload.dataset.train_label_noise must be in [0, 1), got nan"),
+    "dataset kind unknown": (lambda t: t["workload"]["dataset"].update(kind="csv"),
+                             "unknown dataset kind 'csv'"),
+    "idx missing": (lambda t: t["workload"].update(
+                        dataset={"kind": "idx", "images": "no/such.idx"}),
+                    "missing 'labels' in workload.dataset"),
 }
 
 BAD_CONFIGS = {
@@ -168,24 +190,6 @@ BAD_CONFIGS = {
                              "missing 'scale' in search_spaces[0]"),
     "search space non-numeric": (lambda t: t["search_spaces"][0].update(low="tiny"),
                                  "search_spaces[0].low must be numeric"),
-    "synth unknown": (lambda t: t["workload"]["dataset"].update(seperation=3.0),
-                      "unknown key 'seperation' in workload.dataset"),
-    "synth missing": (lambda t: t["workload"]["dataset"].pop("dims"),
-                      "missing 'dims' in workload.dataset"),
-    "synth non-numeric": (lambda t: t["workload"]["dataset"].update(separation="far"),
-                          "workload.dataset.separation must be numeric"),
-    "synth label_noise": (lambda t: t["workload"]["dataset"].update(label_noise=0.1),
-                          "unknown key 'label_noise' in workload.dataset"),
-    "label noise negative": (lambda t: t["workload"]["dataset"].update(
-                                 train_label_noise=-0.5),
-                             "workload.dataset.train_label_noise must be in [0, 1), "
-                             "got -0.5"),
-    "label noise nan": (lambda t: t["workload"]["dataset"].update(
-                            train_label_noise=float("nan")),
-                        "workload.dataset.train_label_noise must be in [0, 1), got nan"),
-    "idx missing": (lambda t: t["workload"].update(
-                        dataset={"kind": "idx", "images": "no/such.idx"}),
-                    "missing 'labels' in workload.dataset"),
     "dataset not an object": (lambda t: t["workload"].update(dataset="mnist"),
                               "workload.dataset must be an object, not 'mnist'"),
     "top level unknown": (lambda t: t.update(budgt=1), "unknown key 'budgt' in config"),
@@ -297,12 +301,12 @@ def test_run_echoes_every_field_of_the_loaded_study(tmp_path, capsys):
 
 
 def write_exact_summary(path, c1=1000.0, c2=50.0, sparsities=(0.0,)):
-    lines = ["# sparselab-summary v1 workload=fixture goal=0.1 budget=20",
-             "B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible"]
+    lines = ["# sparselab-summary v2 workload=fixture goal=0.1 budget=20",
+             "B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible"]
     for s in sparsities:
         for b in (2, 4, 8, 20):          # c1/b + c2 integral at these sizes
             k = int(c1 / b + c2)
-            lines.append(f"{b},{s},{k},0.01,,20,0,0")
+            lines.append(f"{b},{s},{k},0.01,,20,0,0,0")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -348,11 +352,11 @@ def test_fits_table_with_an_empty_c1_is_io_error(tmp_path, capsys, command):
 def test_fit_skips_sparsity_with_single_batch_size(tmp_path, capsys):
     path = tmp_path / "summary.csv"
     path.write_text(
-        "# sparselab-summary v1\n"
-        "B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible\n"
-        "8,0.0,100,0.01,,5,0,0\n"
-        "16,0.0,60,0.01,,5,0,0\n"
-        "8,0.9,400,0.01,,5,0,0\n")
+        "# sparselab-summary v2\n"
+        "B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible\n"
+        "8,0.0,100,0.01,,5,0,0,0\n"
+        "16,0.0,60,0.01,,5,0,0,0\n"
+        "8,0.9,400,0.01,,5,0,0,0\n")
     assert run_cli("fit", "--out", str(tmp_path)) == EXIT_OK
     assert "skip: sparsity 0.9" in capsys.readouterr().out
 
@@ -408,10 +412,10 @@ def test_lipschitz_skips_a_diverged_sparsity(tmp_path, capsys):
     out = tmp_path / "results"
     out.mkdir()
     (out / "summary.csv").write_text(
-        "# sparselab-summary v1\n"
-        "B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible\n"
-        "16,0.0,100,0.05,,3,0,0\n"
-        "16,0.5,100,1000000.0,,3,0,0\n")
+        "# sparselab-summary v2\n"
+        "B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible\n"
+        "16,0.0,100,0.05,,3,0,0,0\n"
+        "16,0.5,100,1000000.0,,3,0,0,0\n")
     path = edited_smoke(tmp_path, lambda t: t["study"].update(sparsities=[0.0, 0.5]))
     assert run_cli("lipschitz", "--config", path, "--out", str(out),
                    "--stride", "50", "--steps", "200") == EXIT_PARTIAL

@@ -18,8 +18,8 @@ from sparselab import harness, nn
 from sparselab.analysis import estimate_beta, trace_smoothness
 from sparselab.config import load_config
 from sparselab.data import Dataset
-from sparselab.exceptions import ConfigError
-from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA,
+from sparselab.exceptions import ConfigError, NumericOverflow
+from sparselab.harness import (COMPLETE, INCOMPLETE, INFEASIBLE, RECORD_SCHEMA, STOPPED,
                                StudyConfig, StudyPoint, TrialRecord, Workload,
                                aggregate, best_trial, load_records,
                                planned_trials, prune_at_init, resolve_dataset,
@@ -385,7 +385,7 @@ def test_mask_violation_during_training_names_the_trial(monkeypatch):
 
     def leaky_step(model, grad, config, state):
         eta = real_step(model, grad, config, state)
-        model.params[np.argmin(model.mask)] = 1e-3    # a pruned coordinate
+        model.params[..., np.argmin(model.mask)] = 1e-3    # a pruned coordinate
         model.bump_version()
         return eta
 
@@ -644,7 +644,7 @@ def test_summary_roundtrip(tmp_path):
         assert int(row["n_complete"]) == cell.n_complete
     header = path.read_text().splitlines()[1]
     assert header == ("B,s,K_star,eta_star,momentum_star,"
-                      "n_complete,n_incomplete,n_infeasible")
+                      "n_complete,n_stopped,n_incomplete,n_infeasible")
 
 
 def test_aggregate_is_order_independent():
@@ -680,3 +680,170 @@ def test_load_records_ignores_garbage_lines(tmp_path):
     loaded = load_records(path)
     assert set(loaded) == {"k1", "k2"}
     assert loaded["k1"].history == [(16, 0.5)]
+
+
+# ---------------------------------------------------------------------------
+# Lockstep cells
+# ---------------------------------------------------------------------------
+
+# the second and the fourth trial diverge mid-stack
+CELL_ETAS = {"simple-mlp": (0.05, 5.0, 0.5, 100.0), "cnn-lite": (0.05, 1e3, 0.5, 1e4)}
+
+
+def cell_workload(arch, algorithm):
+    # separation 1: no evaluation reaches the goal, so no cell stops early
+    wl = replace(overlapping_workload(goal=0.0, max_steps=48, algorithm=algorithm),
+                 eval_interval=8)
+    if arch == "cnn-lite":
+        wl = replace(wl, dataset={**wl.dataset, "dims": 32},
+                     model_spec=ModelSpec("cnn-lite", (4, 4, 2), (3, 4), 4, seed=3))
+    return wl
+
+
+def cell_trials(algorithm, etas):
+    momentum = {} if algorithm == "sgd" else {"momentum_coeff": 0.9}
+    return [(i, {"eta_bar": eta, **momentum}, 2 + i) for i, eta in enumerate(etas)]
+
+
+def spy_on_steps(monkeypatch):
+    """Per eta_bar, a digest of the trial's parameter bytes after each step
+    that left them finite, whatever stack the step ran in."""
+    seen = {}
+    real_step = harness.step
+
+    def spy(model, grad, config, state):
+        try:
+            return real_step(model, grad, config, state)
+        finally:
+            for row, c in zip(model.params.reshape(model.trials, -1), config):
+                if np.isfinite(row).all():
+                    seen.setdefault(c.eta_bar, hashlib.sha256()).update(row.tobytes())
+
+    monkeypatch.setattr(harness, "step", spy)
+    return seen
+
+
+@pytest.mark.parametrize("arch", ["simple-mlp", "cnn-lite"])
+@pytest.mark.parametrize("algorithm", ["sgd", "momentum", "nesterov"])
+@pytest.mark.parametrize("stack", [1, 2, 4])
+def test_a_stacked_cell_gives_each_trial_the_bytes_and_record_of_run_trial(
+        monkeypatch, arch, algorithm, stack):
+    wl, point = cell_workload(arch, algorithm), StudyPoint(8, 0.5)
+    trials = cell_trials(algorithm, CELL_ETAS[arch])
+    seen = spy_on_steps(monkeypatch)
+    alone = [run_trial(wl, point, mp, seed, i) for i, mp, seed in trials]
+    alone_bytes = {eta: d.hexdigest() for eta, d in seen.items()}
+    assert [r.status for r in alone] == [INCOMPLETE, INFEASIBLE, INCOMPLETE, INFEASIBLE]
+    seen.clear()
+    monkeypatch.setattr(harness, "STACK_ELEMENTS",
+                        stack * point.batch_size * harness._sample_elements(wl.model_spec))
+    assert harness.stack_size(wl.model_spec, point.batch_size) == stack
+    assert harness.run_cell(wl, point, trials) == alone
+    assert {eta: d.hexdigest() for eta, d in seen.items()} == alone_bytes
+
+
+@pytest.mark.parametrize("eval_interval", [1, 2], ids=["in-evaluation", "in-training"])
+def test_an_overflow_ends_only_its_own_trial(monkeypatch, eval_interval):
+    # eta 1e200: the first step leaves finite weights whose forward pass
+    # overflows, in the evaluation after it or in the second step's forward
+    raised = []
+    real_forward = nn.forward
+
+    def spy(model, inputs):
+        try:
+            return real_forward(model, inputs)
+        except NumericOverflow as e:
+            raised.append(e.trials)
+            raise
+
+    monkeypatch.setattr(nn, "forward", spy)
+    wl = replace(smoke_workload(goal=0.0, max_steps=4), eval_interval=eval_interval)
+    point = StudyPoint(16, 0.0)
+    trials = cell_trials("sgd", (0.1, 1e200, 0.05))
+    with np.errstate(over="ignore"):
+        alone = [run_trial(wl, point, mp, seed, i) for i, mp, seed in trials]
+        cell = harness.run_cell(wl, point, trials)
+    assert cell == alone
+    assert [r.status for r in cell] == [INCOMPLETE, INFEASIBLE, INCOMPLETE]
+    assert cell[1].history == [] and len(cell[0].history) == 4 // eval_interval
+    assert np.isfinite(cell[1].final_loss)
+    # the stacked training forward names the trial by its row
+    assert [list(t) for t in raised if t is not None and len(t)] == (
+        [[0], [1]] if eval_interval == 2 else [[0], [0]])
+
+
+def test_a_cell_stops_at_its_first_goal_and_keeps_k_star_and_the_best_trial():
+    wl = smoke_workload()
+    point = StudyPoint(8, 0.0)
+    # fast, slow, diverged at once, and two that reach the goal together
+    trials = cell_trials("sgd", (0.003, 0.05, 1e6, 0.2, 0.3))
+    alone = [run_trial(wl, point, mp, seed, i) for i, mp, seed in trials]
+    cell = harness.run_cell(wl, point, trials)
+    best = best_trial(alone)
+    k_star = best.steps_to_goal
+    assert best_trial(cell) == best
+    for a, c in zip(alone, cell):
+        if a.status == COMPLETE and a.steps_to_goal == k_star:
+            assert c == a
+        elif a.status == INFEASIBLE and len(a.history) * wl.eval_interval < k_star:
+            assert c == a
+        else:
+            assert c.status == STOPPED and c.steps_to_goal is None
+            assert c.history == [(k, e) for k, e in a.history if k <= k_star]
+            assert c.history[-1][0] == k_star
+    assert sorted({c.status for c in cell}) == [COMPLETE, INFEASIBLE, STOPPED]
+    assert sum(c.status == COMPLETE for c in cell) >= 2
+
+
+def test_a_stopped_trial_keeps_its_loss_at_k_star():
+    wl = smoke_workload()
+    point = StudyPoint(8, 0.0)
+    fast, slow = cell_trials("sgd", (0.2, 0.003))
+    k_star = run_trial(wl, point, fast[1], fast[2], fast[0]).steps_to_goal
+    cut = run_trial(replace(wl, max_steps=k_star, goal_error=0.0), point, slow[1],
+                    slow[2], slow[0])
+    _, stopped = harness.run_cell(wl, point, [fast, slow])
+    assert stopped.status == STOPPED and cut.status == INCOMPLETE
+    assert stopped.final_loss == cut.final_loss
+    assert stopped.history == cut.history
+
+
+def stopping_config():
+    cfg = smoke_config(budget=4)
+    cfg.search_spaces = [SearchSpace("eta_bar", "log10", 0.003, 0.3)]
+    return cfg
+
+
+def test_a_cell_with_a_stopped_trial_writes_the_same_records_at_one_and_two_workers(tmp_path):
+    cfg = stopping_config()
+    serial = run_study(cfg, tmp_path / "serial.jsonl", workers=1)
+    parallel = run_study(cfg, tmp_path / "parallel.jsonl", workers=2)
+    assert serial == parallel
+    lines = {name: sorted((tmp_path / f"{name}.jsonl").read_bytes().splitlines())
+             for name in ("serial", "parallel")}
+    assert lines["serial"] == lines["parallel"]
+    assert any(b'"status": "stopped"' in line for line in lines["serial"])
+    assert all(c.n_stopped > 0 for c in serial.cells)
+
+
+def test_a_cell_missing_one_record_runs_again_and_gives_the_same_table(tmp_path):
+    cfg = stopping_config()
+    path = tmp_path / "records.jsonl"
+    full = run_study(cfg, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:1] + lines[2:]))
+    executed = []
+    again = run_study(cfg, path, progress=executed.append)
+    assert again == full
+    assert [r.to_json().encode() + b"\n" for r in executed] == [lines[1]]
+    assert sorted(path.read_bytes().splitlines(keepends=True)) == sorted(lines)
+
+
+def test_stack_size_follows_the_largest_activation():
+    mlp = ModelSpec("simple-mlp", (8,), (96, 48), 16, seed=3)
+    cnn = ModelSpec("cnn-lite", (28, 28, 1), (8, 16), 4, seed=3)
+    assert harness._sample_elements(mlp) == 96
+    assert harness._sample_elements(cnn) == 14 * 14 * 9 * 8    # conv2's patch matrix
+    assert harness.stack_size(mlp, 128) >= 2
+    assert harness.stack_size(cnn, 16) == 2
+    assert harness.stack_size(cnn, 64) == 1

@@ -44,12 +44,12 @@ def test_conv_matches_direct_taps_and_patch_scatter(n, h, c_in, c_out, exact):
     rng = np.random.default_rng(n + c_in)
     K, b = rng.normal(size=(3, 3, c_in, c_out)), rng.normal(size=c_out)
     x = rng.normal(size=(n, h, h, c_in))
-    y, cache = layer.forward(x, [K, b])
+    y, cache = layer.forward(x, [K[None], b[None]])
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     taps = sum(padded[:, i:i + h, j:j + h] @ K[i, j] for i in range(3) for j in range(3))
     np.testing.assert_allclose(y, taps + b, rtol=0, atol=1e-12 * np.abs(y).max())
     d_out = rng.normal(size=y.shape)
-    d_x, _ = layer.backward(d_out, cache, [K, b])
+    d_x, _ = layer.backward(d_out, cache, [K[None], b[None]])
     oracle = conv_input_gradient_by_patches(d_out, K)
     if exact:
         assert np.array_equal(d_x, oracle)
@@ -67,7 +67,7 @@ def test_conv_patch_matrix_equals_the_strided_view_copy(shape):
     x = rng.normal(size=shape)
     c_in = shape[3]
     K, b = rng.normal(size=(3, 3, c_in, 2)), rng.normal(size=2)
-    _, (flat, x_shape) = nn.Conv3x3(c_in, 2).forward(x, [K, b])
+    _, (flat, x_shape) = nn.Conv3x3(c_in, 2).forward(x, [K[None], b[None]])
     assert x_shape == shape
     reference = conv_patches_by_strided_view(x)
     assert flat.shape == reference.shape and flat.dtype == reference.dtype
@@ -113,10 +113,10 @@ def test_conv_bias_add_and_gradient_equal_the_per_pixel_forms(shape, c_out):
     c_in = shape[3]
     K, b = rng.normal(size=(3, 3, c_in, c_out)), rng.normal(size=c_out)
     layer = nn.Conv3x3(c_in, c_out)
-    y, cache = layer.forward(x, [K, b])
+    y, cache = layer.forward(x, [K[None], b[None]])
     assert y.tobytes() == conv_forward_by_pixel_bias(x, K, b).tobytes()
     d_y = rng.normal(size=y.shape)
-    _, (_, d_b) = layer.backward(d_y, cache, [K, b], False)
+    _, (_, d_b) = layer.backward(d_y, cache, [K[None], b[None]], False)
     assert d_b.tobytes() == d_y.reshape(-1, c_out).sum(axis=0).tobytes()
 
 

@@ -11,16 +11,16 @@ from sparselab.report import (read_table, render_report, write_fits, write_summa
                               write_table, write_traces)
 
 TABLE = StudyTable("fixture", 0.2, 3, [
-    StudyCell(2, 0.0, 16, {"eta_bar": 0.15243982, "momentum_coeff": 0.9}, 3, 0, 0),
-    StudyCell(8, 0.0, None, None, 0, 2, 1),
-    StudyCell(8, 0.5, 24, {"eta_bar": 0.039359793}, 1, 1, 1)])
+    StudyCell(2, 0.0, 16, {"eta_bar": 0.15243982, "momentum_coeff": 0.9}, 1, 2, 0, 0),
+    StudyCell(8, 0.0, None, None, 0, 0, 2, 1),
+    StudyCell(8, 0.5, 24, {"eta_bar": 0.039359793}, 1, 1, 0, 1)])
 
 SUMMARY_TEXT = """\
-# sparselab-summary v1 workload=fixture goal=0.2 budget=3
-B,s,K_star,eta_star,momentum_star,n_complete,n_incomplete,n_infeasible
-2,0.0,16,0.15243982,0.9,3,0,0
-8,0.0,,,,0,2,1
-8,0.5,24,0.039359793,,1,1,1
+# sparselab-summary v2 workload=fixture goal=0.2 budget=3
+B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible
+2,0.0,16,0.15243982,0.9,1,2,0,0
+8,0.0,,,,0,0,2,1
+8,0.5,24,0.039359793,,1,1,0,1
 """
 
 FITS = {0.9: ScalingFit(333.25, 12.5, 1.5e-7, ((2.0, 179.0), (3.0, 124.0))),
@@ -80,16 +80,16 @@ results directory: `{results}`
 
 ### sparsity 0
 
-| B | K* | K*/K*(B_min) | complete | incomplete | infeasible |
-|---|----|--------------|----------|------------|------------|
-| 2 | 16 | 1.0000 | 3 | 0 | 0 |
-| 8 | - | - | 0 | 2 | 1 |
+| B | K* | K*/K*(B_min) | complete | stopped | incomplete | infeasible |
+|---|----|--------------|----------|---------|------------|------------|
+| 2 | 16 | 1.0000 | 1 | 2 | 0 | 0 |
+| 8 | - | - | 0 | 0 | 2 | 1 |
 
 ### sparsity 0.5
 
-| B | K* | K*/K*(B_min) | complete | incomplete | infeasible |
-|---|----|--------------|----------|------------|------------|
-| 8 | 24 | 1.0000 | 1 | 1 | 1 |
+| B | K* | K*/K*(B_min) | complete | stopped | incomplete | infeasible |
+|---|----|--------------|----------|---------|------------|------------|
+| 8 | 24 | 1.0000 | 1 | 1 | 0 | 1 |
 
 ## Scaling-law fits
 
@@ -121,12 +121,12 @@ def test_summary_bytes_and_round_trip(tmp_path):
     write_summary(TABLE, path)
     assert path.read_text() == SUMMARY_TEXT
     assert read_table(path, "summary") == [
-        {"B": 2, "s": 0.0, "K_star": 16, "eta_star": 0.15243982,
-         "momentum_star": 0.9, "n_complete": 3, "n_incomplete": 0, "n_infeasible": 0},
-        {"B": 8, "s": 0.0, "K_star": None, "eta_star": None,
-         "momentum_star": None, "n_complete": 0, "n_incomplete": 2, "n_infeasible": 1},
-        {"B": 8, "s": 0.5, "K_star": 24, "eta_star": 0.039359793,
-         "momentum_star": None, "n_complete": 1, "n_incomplete": 1, "n_infeasible": 1}]
+        {"B": 2, "s": 0.0, "K_star": 16, "eta_star": 0.15243982, "momentum_star": 0.9,
+         "n_complete": 1, "n_stopped": 2, "n_incomplete": 0, "n_infeasible": 0},
+        {"B": 8, "s": 0.0, "K_star": None, "eta_star": None, "momentum_star": None,
+         "n_complete": 0, "n_stopped": 0, "n_incomplete": 2, "n_infeasible": 1},
+        {"B": 8, "s": 0.5, "K_star": 24, "eta_star": 0.039359793, "momentum_star": None,
+         "n_complete": 1, "n_stopped": 1, "n_incomplete": 0, "n_infeasible": 1}]
 
 
 def test_fits_bytes_and_round_trip(tmp_path):
@@ -170,7 +170,7 @@ def test_table_bytes_and_round_trip(tmp_path, kind, rows, text):
     ("theory", THEORY_TEXT.replace("theory v1", "theory v2"), ":1:"),
     ("theory", THEORY_TEXT.replace("sparselab-theory", "sparselab-ratios"), ":1:"),
     ("theory", "", ":1:"),
-    ("summary", SUMMARY_TEXT.replace(",0,2,1\n", ",,2,1\n"), ":4: empty cell in column n_complete"),
+    ("summary", SUMMARY_TEXT.replace(",0,0,2,1\n", ",,0,2,1\n"), ":4: empty cell in column n_complete"),
     ("fits", FITS_TEXT.replace(",333.25,12.5,", ",,12.5,", 1), ":5: empty cell in column c1"),
     ("traces", TRACES_TEXT.replace("0.5,40,", "0.5,,"), ":6: empty cell in column step"),
     ("theory", THEORY_TEXT.replace(",576.31668,", ",,"), ":3: empty cell in column beta"),
