@@ -30,7 +30,9 @@ Steps-to-result K* for a study point is the lowest steps_to_goal over
 its complete trials; a tie goes to the lowest trial index (Sobol order).
 
 A trial's key hashes the whole workload, the point, the metaparameters,
-the seed and the trial index, so resuming reuses only matching records.
+the seed and the trial index, so resuming reuses only matching records,
+and only as one run of their cell (`one_run_of_the_cell`): the key leaves
+out the budget, on which the cell's stop depends.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from . import nn
 from .data import Dataset, load_idx, split_validation, synth_dataset
 from .exceptions import ConfigError, NumericOverflow
 from .models import Model, ModelSpec, build_model
-from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, step
+from .optim import OptimizerConfig, OptimizerState, ScheduleSpec, StackedConfig, step
 from .prune import prune_at_init
 from .quasirand import draw_assignments
 
@@ -434,6 +436,7 @@ class _Stack:
     def __init__(self, init: Model, trials: list):
         self.trials = trials
         self.model = init.stacked(len(trials))
+        self.config = StackedConfig.of([t.config for t in trials])
         self.state = OptimizerState.fresh(self.model.params.shape)
         self.limit = None         # DIVERGENCE_FACTOR times each trial's loss at step 1
 
@@ -447,6 +450,7 @@ class _Stack:
         self.trials = [self.trials[r] for r in keep]
         self.model.params = self.model.params[keep]
         self.model.bump_version()
+        self.config = self.config.rows(keep)
         self.state.velocity = self.state.velocity[keep]
         if self.limit is not None:
             self.limit = self.limit[keep]
@@ -473,7 +477,7 @@ class _Stack:
             if not self.trials:
                 return
         try:
-            step(self.model, grad, [t.config for t in self.trials], self.state)
+            step(self.model, grad, self.config, self.state)
         except NumericOverflow as e:
             self.drop(e.trials, finish)
 
@@ -671,14 +675,37 @@ def _pin_one_blas_thread():
         blas.set(1)
 
 
+def one_run_of_the_cell(records: list) -> bool:
+    """Whether a cell's stored records can be one run of that cell.
+
+    A record depends on the step at which its cell stopped, so the records
+    a study at another budget left for these trials may belong to a cell
+    that other trials stopped: a stopped record with no complete one, two
+    K*s, or a record that ran past the K* of the complete ones.
+    """
+    goals = {r.steps_to_goal for r in records if r.status == COMPLETE}
+    if not goals:
+        return not any(r.status == STOPPED for r in records)
+    if len(goals) > 1:
+        return False
+    (k_star,) = goals
+    return all(r.status == COMPLETE
+               or r.status == STOPPED and r.history and r.history[-1][0] == k_star
+               or r.status == INFEASIBLE and all(k < k_star for k, _ in r.history)
+               for r in records)
+
+
 def run_study(cfg: StudyConfig, records_path, workers: int = 1,
               progress=None) -> StudyTable:
     """Run (or resume) a full study, one cell (study point) at a time;
     returns the aggregated table.
 
-    A cell runs unless every one of its planned keys is in the records
-    file, so reruns after interruption execute only the missing work; a
-    cell that runs again appends only the records that were missing.
+    A cell runs unless the records file holds every one of its planned
+    keys and those records are one run of the cell (`one_run_of_the_cell`),
+    so reruns after interruption execute only the missing work, and a
+    study rerun at another budget reruns the cells whose stop moved. A
+    cell that runs again appends the records that were missing or that
+    it changed; the last line of a key is the one `load_records` keeps.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -689,7 +716,8 @@ def run_study(cfg: StudyConfig, records_path, workers: int = 1,
         cells.setdefault(point, []).append((i, mp, seed, key))
     todo = [(cfg.workload, point, [trial[:3] for trial in trials], cfg.data_root)
             for point, trials in cells.items()
-            if any(key not in existing for *_, key in trials)]
+            if any(key not in existing for *_, key in trials)
+            or not one_run_of_the_cell([existing[key] for *_, key in trials])]
 
     parallel = workers > 1 and len(todo) > 1
     with (ProcessPoolExecutor(max_workers=workers, initializer=_pin_one_blas_thread)
@@ -701,7 +729,8 @@ def run_study(cfg: StudyConfig, records_path, workers: int = 1,
             done = (run_cell(*t) for t in todo)
         for cell_records in done:
             for rec in cell_records:
-                if rec.trial_key in existing:
+                stored = existing.get(rec.trial_key)
+                if stored is not None and stored.to_json() == rec.to_json():
                     continue
                 append_record(records_path, rec)
                 existing[rec.trial_key] = rec

@@ -8,15 +8,15 @@ with g_k the raw mini-batch gradient (sgd), the velocity buffer
 (momentum), or the look-ahead combination (nesterov). The update is
 coordinate-wise, so a coordinate whose gradient is always zero keeps a
 zero velocity and never moves. A stack of trials updates as one (T, m)
-array, each row with its own config's eta and momentum: the same
-arithmetic, element by element, as each row updated alone. Only
-`OptimizerConfig` says which metaparameters an algorithm needs;
-`load_config` and `sparselab lipschitz` build one to check.
+array under a StackedConfig, each row with its own trial's eta and
+momentum: the same arithmetic, element by element, as each row updated
+alone. Only `OptimizerConfig` says which metaparameters an algorithm
+needs; `load_config` and `sparselab lipschitz` build one to check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class OptimizerState:
 
 
 def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
-    """Learning rate at step index k (1-based; k=0 is treated as k=1)."""
+    """Learning rate at step index k (1-based; k=0 is treated as k=1), for
+    one eta_bar or a column of them."""
     k = max(int(k), 1)
     if spec.kind == "constant":
         return eta_bar
@@ -81,41 +82,62 @@ def schedule_eta(spec: ScheduleSpec, eta_bar: float, k: int) -> float:
     return eta_bar * max(spec.floor_fraction, frac)
 
 
-def _per_row(params, values) -> np.ndarray:
-    """`values`, one per row of `params`, as a column that broadcasts over them."""
-    return np.array(values).reshape(params.shape[:-1] + (1,))
+@dataclass(frozen=True, eq=False)
+class StackedConfig:
+    """The update rule of a stack's (T, m) rows: the algorithm and the
+    schedule its trials share, with each trial's eta_bar and momentum_coeff
+    as a (T, 1) column. `apply_update` reads it as it reads one
+    OptimizerConfig, the columns broadcasting over the rows."""
+    algorithm: str
+    schedule: ScheduleSpec
+    eta_bar: np.ndarray
+    momentum_coeff: np.ndarray | None
+
+    @classmethod
+    def of(cls, configs) -> "StackedConfig":
+        first = configs[0]
+        if any((c.algorithm, c.schedule) != (first.algorithm, first.schedule) for c in configs):
+            raise ConfigError("the trials of a stack must share the algorithm and the schedule")
+
+        def column(values):
+            return np.array(values, dtype=float).reshape(-1, 1)
+        return cls(first.algorithm, first.schedule, column([c.eta_bar for c in configs]),
+                   None if first.algorithm == "sgd"
+                   else column([c.momentum_coeff for c in configs]))
+
+    def rows(self, keep) -> "StackedConfig":
+        """The rule of the rows at `keep` alone."""
+        return replace(self, eta_bar=self.eta_bar[keep], momentum_coeff=(
+            None if self.momentum_coeff is None else self.momentum_coeff[keep]))
 
 
 def apply_update(params: np.ndarray, grad: np.ndarray, config, state: OptimizerState):
-    """One in-place update of a length-m vector under one OptimizerConfig, or
-    of a stack's (T, m) rows under a sequence of T configs that share the
-    algorithm and the schedule; returns eta_k used, per row for a stack.
-    A non-finite result raises NumericOverflow naming its rows."""
-    configs = (config,) if isinstance(config, OptimizerConfig) else tuple(config)
-    first = configs[0]
-    eta = _per_row(params, [schedule_eta(c.schedule, c.eta_bar, state.k + 1) for c in configs])
-    if first.algorithm == "sgd":
+    """One in-place update of a length-m vector under an OptimizerConfig, or
+    of a stack's (T, m) rows under a StackedConfig; returns eta_k used (a
+    (T, 1) column for a stack). A non-finite result raises NumericOverflow
+    naming its rows."""
+    eta = schedule_eta(config.schedule, config.eta_bar, state.k + 1)
+    if config.algorithm == "sgd":
         direction = grad
     else:
-        m = _per_row(params, [c.momentum_coeff for c in configs])
-        state.velocity *= m
+        state.velocity *= config.momentum_coeff
         state.velocity += grad
-        if first.algorithm == "momentum":
+        if config.algorithm == "momentum":
             direction = state.velocity
         else:  # nesterov look-ahead
-            direction = grad + m * state.velocity
+            direction = grad + config.momentum_coeff * state.velocity
     params -= eta * direction
     state.k += 1
     finite = np.isfinite(params)
     if not finite.all():
-        bad = ~finite.reshape(len(configs), -1).all(axis=1)
+        bad = ~finite.reshape(-1, params.shape[-1]).all(axis=1)
         raise NumericOverflow(f"non-finite parameters after step {state.k}", np.flatnonzero(bad))
-    return eta.reshape(params.shape[:-1])[()]
+    return eta
 
 
 def step(model, grad, config, state: OptimizerState):
-    """Update a model, or a stack under one config per trial, in place from
-    an nn.Gradient; returns eta_k used."""
+    """Update a model under an OptimizerConfig, or a stack under a
+    StackedConfig, in place from an nn.Gradient; returns eta_k used."""
     if grad.flat.shape != model.params.shape:
         raise ConfigError("gradient length does not match parameter count")
     eta = apply_update(model.params, grad.flat, config, state)

@@ -715,9 +715,9 @@ def spy_on_steps(monkeypatch):
         try:
             return real_step(model, grad, config, state)
         finally:
-            for row, c in zip(model.params.reshape(model.trials, -1), config):
+            for row, eta in zip(model.params.reshape(model.trials, -1), config.eta_bar.ravel()):
                 if np.isfinite(row).all():
-                    seen.setdefault(c.eta_bar, hashlib.sha256()).update(row.tobytes())
+                    seen.setdefault(float(eta), hashlib.sha256()).update(row.tobytes())
 
     monkeypatch.setattr(harness, "step", spy)
     return seen
@@ -837,6 +837,52 @@ def test_a_cell_missing_one_record_runs_again_and_gives_the_same_table(tmp_path)
     assert again == full
     assert [r.to_json().encode() + b"\n" for r in executed] == [lines[1]]
     assert sorted(path.read_bytes().splitlines(keepends=True)) == sorted(lines)
+
+
+def budget_config(budget):
+    cfg = smoke_config(budget=budget)
+    # at B=8 the third trial reaches the goal first and stops the first,
+    # which alone reaches it later; at B=16 the first two set K*
+    cfg.search_spaces = [SearchSpace("eta_bar", "log10", 0.3, 2.13)]
+    return cfg
+
+
+@pytest.mark.parametrize("first, then", [(4, 2), (2, 4)])
+def test_a_study_rerun_at_another_budget_matches_a_fresh_run(tmp_path, first, then):
+    path, fresh_path = tmp_path / "records.jsonl", tmp_path / "fresh.jsonl"
+    before = run_study(budget_config(first), path)
+    executed = []
+    again = run_study(budget_config(then), path, progress=executed.append)
+    fresh = run_study(budget_config(then), fresh_path)
+    assert again == fresh
+    assert before.cell(8, 0.0).k_star != fresh.cell(8, 0.0).k_star
+    planned = {key for *_, key in planned_trials(budget_config(then))}
+    assert ({k: r.to_json() for k, r in load_records(path).items() if k in planned}
+            == {k: r.to_json() for k, r in load_records(fresh_path).items()})
+    # the B=16 cell keeps its K*, so a lower budget reuses its records; a
+    # rerun cell appends only the records it changed or that were missing
+    rerun = {(r.batch_size, r.trial_index) for r in executed}
+    assert rerun == ({(8, 0)} if then == 2 else
+                     {(8, 0), (8, 2), (8, 3), (16, 2), (16, 3)})
+
+
+def cut_record(status, last_step, steps_to_goal=None):
+    history = [(k, 0.5) for k in range(16, last_step + 1, 16)]
+    return TrialRecord("k", 8, 0.0, 0, ETA, 0, status, steps_to_goal, history, 1.0)
+
+
+@pytest.mark.parametrize("records, whole", [
+    ([cut_record(INCOMPLETE, 64), cut_record(INFEASIBLE, 32)], True),
+    ([cut_record(STOPPED, 32), cut_record(INCOMPLETE, 64)], False),
+    ([cut_record(COMPLETE, 32, 32), cut_record(STOPPED, 32), cut_record(INFEASIBLE, 16)], True),
+    ([cut_record(COMPLETE, 32, 32), cut_record(COMPLETE, 48, 48)], False),
+    ([cut_record(COMPLETE, 32, 32), cut_record(STOPPED, 48)], False),
+    ([cut_record(COMPLETE, 32, 32), cut_record(INFEASIBLE, 32)], False),
+    ([cut_record(COMPLETE, 32, 32), cut_record(INCOMPLETE, 64)], False),
+], ids=["uncut", "stopped-without-goal", "cut", "two-k-star", "stopped-elsewhere",
+        "infeasible-past-k-star", "incomplete-beside-goal"])
+def test_a_cell_reuses_only_records_of_one_run_of_it(records, whole):
+    assert harness.one_run_of_the_cell(records) is whole
 
 
 def test_stack_size_follows_the_largest_activation():

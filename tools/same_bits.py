@@ -7,9 +7,8 @@ Imports sparselab from `<checkout>/src` and hashes, in a fixed order:
 - a 54-trial grid, {sgd, momentum, nesterov} x {cnn-lite at 28x28x1 with
   widths (8, 16) on 784-dim Gaussian blobs, the acceptance MLP} x
   s in {0, 0.5, 0.9} x B in {2, 16, 64}, 24 steps each with an evaluation
-  every 8: the parameter bytes after every step and the trial record
-  (without its schema number, which names the record format, not a
-  result), its validation errors and final loss unrounded;
+  every 8: the parameter bytes after every step and the trial record,
+  its validation errors and final loss unrounded;
 - the bytes of `nn.full_gradient` over each model's training split, at
   s = 0 and 0.9, after `prune_at_init`;
 - `analysis.estimate_beta` on the same nets, as float hex;
@@ -28,7 +27,6 @@ settings.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -77,10 +75,7 @@ def grid(digest):
                 for b in (2, 16, 64):
                     rec = run_trial(wl, StudyPoint(b, s), metaparams(algorithm), seed=3,
                                     step_hook=lambda model, k: digest.update(model.params.tobytes()))
-                    fields = json.loads(rec.to_json())
-                    del fields["schema"]
-                    text = json.dumps(fields, sort_keys=True)
-                    digest.update(f"{text} {rec.history!r} {rec.final_loss!r}".encode())
+                    digest.update(f"{rec.to_json()} {rec.history!r} {rec.final_loss!r}".encode())
 
 
 def gradients_and_beta(digest):
