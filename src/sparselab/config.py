@@ -53,14 +53,17 @@ def _load_tree(path: Path, seen: tuple = ()) -> dict:
     if path in seen:
         raise ConfigError(f"config include cycle at {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object, not {raw!r}")
     includes = raw.pop("include", [])
-    if isinstance(includes, str):
-        includes = [includes]
+    includes = [includes] if isinstance(includes, str) else includes
+    if not isinstance(includes, list) or not all(isinstance(i, str) for i in includes):
+        raise ConfigError(f"{path}: include must be a path or a list of paths, not {includes!r}")
     merged: dict = {}
     for inc in includes:
         merged = _merge(merged, _load_tree(path.parent / inc, seen + (path,)))

@@ -13,7 +13,7 @@ class NumericOverflow(ArithmeticError):
     """A non-finite value appeared during forward/backward/update.
 
     `trials` holds the indices, along a stack's trial axis, of the trials
-    whose values are non-finite; None means all of them."""
+    whose values are non-finite; only `nn.loss_and_error` leaves it None."""
 
     def __init__(self, message, trials=None):
         super().__init__(message)

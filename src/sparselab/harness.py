@@ -319,13 +319,9 @@ def resolve_dataset(workload: Workload, data_root: str | None = None):
 
 
 def initial_model(workload: Workload, sparsity: float, data_root: str | None = None):
-    """A fresh copy of the net every trial at `sparsity` starts from,
-    `prune_at_init(build_model(...))`.
-
-    The pruned init is built once per (data set, model spec, sparsity) per
-    process and kept as read-only `params` and `mask` arrays; each call
-    copies them into a newly built model.
-    """
+    """`prune_at_init(build_model(...))`, the net every trial at `sparsity`
+    starts from: built once per (data set, model spec, sparsity) per process
+    and shared, with read-only params and mask. Trials train copies (`Model.stacked`)."""
     key = (_dataset_key(workload, data_root), workload.model_spec, sparsity)
     if key not in _INIT_CACHE:
         train, _ = resolve_dataset(workload, data_root)
@@ -333,12 +329,8 @@ def initial_model(workload: Workload, sparsity: float, data_root: str | None = N
                                workload.data_seed)
         for array in (pruned.params, pruned.mask):
             array.setflags(write=False)
-        _INIT_CACHE[key] = (pruned.params, pruned.mask)
-    params, mask = _INIT_CACHE[key]
-    model = build_model(workload.model_spec)
-    model.set_params(params)
-    model.mask = mask.copy()
-    return model
+        _INIT_CACHE[key] = pruned
+    return _INIT_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -431,32 +423,33 @@ class _Trial:
 
 
 class _Stack:
-    """Live trials of a cell that step as one (T, m) model."""
+    """Live trials of a cell that step as one (T, m) model; `finish` records each that leaves."""
 
-    def __init__(self, init: Model, trials: list):
+    def __init__(self, init: Model, trials: list, finish):
         self.trials = trials
+        self.finish = finish
         self.model = init.stacked(len(trials))
         self.config = StackedConfig.of([t.config for t in trials])
         self.state = OptimizerState.fresh(self.model.params.shape)
         self.limit = None         # DIVERGENCE_FACTOR times each trial's loss at step 1
 
-    def drop(self, rows, finish):
-        """Finish the trials at `rows` (None: all) as infeasible and take
+    def drop(self, rows):
+        """Finish the trials at `rows` (an index array) as infeasible and take
         them off the stack; returns the rows kept."""
-        rows = set(range(len(self.trials)) if rows is None else rows.tolist())
-        for r in sorted(rows):
-            finish(self.trials[r], INFEASIBLE, self.model.params[r])
+        for r in rows:
+            self.finish(self.trials[r], INFEASIBLE, self.model.params[r])
         keep = [r for r in range(len(self.trials)) if r not in rows]
         self.trials = [self.trials[r] for r in keep]
         self.model.params = self.model.params[keep]
         self.model.bump_version()
-        self.config = self.config.rows(keep)
+        if self.trials:
+            self.config = StackedConfig.of([t.config for t in self.trials])
         self.state.velocity = self.state.velocity[keep]
         if self.limit is not None:
             self.limit = self.limit[keep]
         return keep
 
-    def train_step(self, inputs, labels, finish):
+    def train_step(self, inputs, labels):
         """One step of every trial; a trial whose step fails leaves as infeasible."""
         idx = np.stack([next(t.batches) for t in self.trials])
         while self.trials:
@@ -464,7 +457,7 @@ class _Stack:
                 loss, _, grad = nn.batch_gradient(self.model, inputs[idx], labels[idx])
                 break
             except NumericOverflow as e:     # the others' step is the same without them
-                idx = idx[self.drop(e.trials, finish)]
+                idx = idx[self.drop(e.trials)]
         else:
             return
         for t, value in zip(self.trials, loss):
@@ -473,15 +466,15 @@ class _Stack:
             self.limit = DIVERGENCE_FACTOR * np.maximum(loss, 1e-12)
         diverged = ~np.isfinite(loss) | (loss > self.limit)
         if diverged.any():
-            grad.flat = grad.flat[self.drop(np.flatnonzero(diverged), finish)]
+            grad.flat = grad.flat[self.drop(np.flatnonzero(diverged))]
             if not self.trials:
                 return
         try:
             step(self.model, grad, self.config, self.state)
         except NumericOverflow as e:
-            self.drop(e.trials, finish)
+            self.drop(e.trials)
 
-    def evaluate(self, k, val, finish) -> list:
+    def evaluate(self, k, val) -> list:
         """Each trial's validation error, evaluated alone, into its history;
         a trial whose evaluation overflows leaves as infeasible. Returns
         the (trial, error) pairs."""
@@ -494,7 +487,7 @@ class _Stack:
             else:
                 t.history.append((k, errors[-1][1]))
         if overflowed:
-            self.drop(np.array(overflowed), finish)
+            self.drop(np.array(overflowed))
         return errors
 
 
@@ -533,7 +526,7 @@ def run_cell(workload: Workload, point: StudyPoint, trials: list,
             final_loss=t.loss)
 
     size = stack_size(workload.model_spec, point.batch_size)
-    stacks = [_Stack(init, cell[i:i + size]) for i in range(0, len(cell), size)]
+    stacks = [_Stack(init, cell[i:i + size], finish) for i in range(0, len(cell), size)]
     if step_hook is not None:
         hooked = stacks[0].model.row(0)
         step_hook(hooked, 0)
@@ -544,12 +537,12 @@ def run_cell(workload: Workload, point: StudyPoint, trials: list,
         if not stacks:
             break
         for st in stacks:
-            st.train_step(train.inputs, train.labels, finish)
+            st.train_step(train.inputs, train.labels)
         if step_hook is not None and stacks[0].trials:
             hooked.bump_version()
             step_hook(hooked, k)
         if k % workload.eval_interval == 0:
-            reached = [t for st in stacks for t, err in st.evaluate(k, val, finish)
+            reached = [t for st in stacks for t, err in st.evaluate(k, val)
                        if err <= workload.goal_error]
             if reached:
                 break

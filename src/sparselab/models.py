@@ -18,6 +18,7 @@ not a faithful residual architecture.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +80,19 @@ class Model:
     def bump_version(self):
         self.params_version += 1
 
+    def _with_params(self, params: np.ndarray) -> "Model":
+        """This model, sharing its layers, slices and mask, over `params`."""
+        other = copy.copy(self)
+        other.params = params
+        return other
+
     def stacked(self, count: int) -> "Model":
-        """A stack of `count` copies of this model's parameters, as the rows
-        of a (count, m) array, under this model's mask."""
-        stack = Model(self.spec, self.layers)
-        stack.params = np.tile(self.params, (count, 1))
-        stack.mask = self.mask
-        return stack
+        """A stack of `count` writable copies of these params, as (count, m) rows."""
+        return self._with_params(np.tile(self.params, (count, 1)))
 
     def row(self, t: int) -> "Model":
         """Trial t of a stack as a model whose params are a view of its row."""
-        one = Model(self.spec, self.layers)
-        one.params = self.params[t]
-        one.mask = self.mask
-        return one
+        return self._with_params(self.params[t])
 
     def _views_of(self, buffer: np.ndarray) -> list:
         lead = buffer.shape[:-1]

@@ -8,15 +8,16 @@ with g_k the raw mini-batch gradient (sgd), the velocity buffer
 (momentum), or the look-ahead combination (nesterov). The update is
 coordinate-wise, so a coordinate whose gradient is always zero keeps a
 zero velocity and never moves. A stack of trials updates as one (T, m)
-array under a StackedConfig, each row with its own trial's eta and
-momentum: the same arithmetic, element by element, as each row updated
-alone. Only `OptimizerConfig` says which metaparameters an algorithm
-needs; `load_config` and `sparselab lipschitz` build one to check.
+array under a StackedConfig, built once from its trials' OptimizerConfigs
+(and again from those that remain when some leave), each row with its own
+trial's eta and momentum: the same arithmetic, element by element, as each
+row updated alone. Only `OptimizerConfig` says which metaparameters an
+algorithm needs; `load_config` and `sparselab lipschitz` build one to check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,11 +105,6 @@ class StackedConfig:
         return cls(first.algorithm, first.schedule, column([c.eta_bar for c in configs]),
                    None if first.algorithm == "sgd"
                    else column([c.momentum_coeff for c in configs]))
-
-    def rows(self, keep) -> "StackedConfig":
-        """The rule of the rows at `keep` alone."""
-        return replace(self, eta_bar=self.eta_bar[keep], momentum_coeff=(
-            None if self.momentum_coeff is None else self.momentum_coeff[keep]))
 
 
 def apply_update(params: np.ndarray, grad: np.ndarray, config, state: OptimizerState):

@@ -16,6 +16,7 @@ results directory; absent inputs are listed by name instead of failing.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from pathlib import Path
 
@@ -55,7 +56,7 @@ TABLES = {
 def write_table(path, kind: str, rows, tag: str = ""):
     """Write dict rows as a `kind` table; `tag` extends the first line."""
     version, columns, _ = TABLES[kind]
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(f"# sparselab-{kind} v{version}{tag}\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(name for name, _, _ in columns)
@@ -68,7 +69,13 @@ def read_table(path, kind: str) -> list:
     """Rows of a `kind` table as dicts of typed values (None for empty)."""
     version, columns, nullable = TABLES[kind]
     names = [name for name, _, _ in columns]
-    with open(path, newline="") as f:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ResultsFormatError(f"{path}:{line}: not UTF-8 text ({e.reason})") from None
+    with io.StringIO(text, newline="") as f:
         if f.readline().split()[:3] != ["#", f"sparselab-{kind}", f"v{version}"]:
             raise ResultsFormatError(
                 f"{path}:1: expected '# sparselab-{kind} v{version}'")

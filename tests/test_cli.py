@@ -116,6 +116,31 @@ def test_config_error_exit_code(tmp_path):
     assert run_cli("run", "--config", str(missing), "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+# Config files that are no UTF-8 JSON object, or whose include is no path:
+# each is a ConfigError naming the file, before the results directory is made.
+MALFORMED_FILES = {
+    "top level a list": (b"[1, 2]", "the top level must be a JSON object, not [1, 2]"),
+    "top level a string": (b'"just a string"',
+                           "the top level must be a JSON object, not 'just a string'"),
+    "include a number": (b'{"include": 5}',
+                         "include must be a path or a list of paths, not 5"),
+    "include a list of numbers": (b'{"include": [5]}',
+                                  "include must be a path or a list of paths, not [5]"),
+    "not utf-8": (b'\xff\xfe{\x00}\x00', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_a_malformed_config_file_is_a_config_error_naming_it(tmp_path, capsys, case):
+    text, message = MALFORMED_FILES[case]
+    path, out = tmp_path / "malformed.json", tmp_path / "results"
+    path.write_bytes(text)
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{path.resolve()}: {message}" in err
+    assert not out.exists()
+
+
 def space(name, low=0.5, high=0.9):
     return {"name": name, "scale": "linear", "low": low, "high": high}
 
@@ -359,6 +384,16 @@ def test_fit_skips_sparsity_with_single_batch_size(tmp_path, capsys):
         "8,0.9,400,0.01,,5,0,0,0\n")
     assert run_cli("fit", "--out", str(tmp_path)) == EXIT_OK
     assert "skip: sparsity 0.9" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fit", "report"])
+def test_a_summary_with_undecodable_bytes_is_io_error(tmp_path, capsys, command):
+    (tmp_path / "summary.csv").write_bytes(
+        b"# sparselab-summary v2\n"
+        b"B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible\n"
+        b"8,0.0,100,0.01,,5,0,0,\xff\n")
+    assert run_cli(command, "--out", str(tmp_path)) == EXIT_IO
+    assert "summary.csv:3: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_fit_on_summary_with_short_row_is_io_error(tmp_path, capsys):

@@ -270,16 +270,18 @@ def test_the_cached_init_is_read_only_and_each_trial_gets_a_copy(monkeypatch):
     count_pruning(monkeypatch)
     wl = smoke_workload()
     model = harness.initial_model(wl, 0.5)
-    [(params, mask)] = harness._INIT_CACHE.values()
-    for array in (params, mask):
+    assert list(harness._INIT_CACHE.values()) == [model]
+    assert harness.initial_model(wl, 0.5) is model
+    for array in (model.params, model.mask):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0
-    kept = params.tobytes(), mask.tobytes()
-    model.params[...] = 1.0     # a trial's model is its own
-    model.mask[...] = 0.0
-    again = harness.initial_model(wl, 0.5)
-    assert (again.params.tobytes(), again.mask.tobytes()) == kept
+    kept = model.params.tobytes()
+    stack = model.stacked(2)    # what a trial trains is its own
+    assert stack.params.flags.writeable
+    assert not np.shares_memory(stack.params, model.params)
+    stack.params[...] = 1.0
+    assert model.params.tobytes() == kept
 
 
 @pytest.mark.parametrize("sparsity", [0.0, 0.7])

@@ -11,7 +11,7 @@ from helpers import run_quadratic_sgd
 from sparselab.analysis import convergence_bound
 from sparselab.exceptions import ConfigError, NumericOverflow
 from sparselab.models import ModelSpec, build_model
-from sparselab.optim import (OptimizerConfig, OptimizerState, ScheduleSpec,
+from sparselab.optim import (OptimizerConfig, OptimizerState, ScheduleSpec, StackedConfig,
                              apply_update, schedule_eta, step)
 
 
@@ -108,6 +108,42 @@ def test_mask_preserved_over_many_steps(algo):
         apply_update(params, grad, config, state)
     assert np.max(np.abs(params * (1.0 - mask))) == 0.0
     assert np.all(state.velocity[mask == 0.0] == 0.0)
+
+
+SCHEDULES = {"constant": ScheduleSpec("constant"),
+             "linear-decay": ScheduleSpec("linear-decay", decay_horizon=6, floor_fraction=0.1)}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("algo", ["sgd", "momentum", "nesterov"])
+def test_each_row_of_a_stack_steps_as_that_row_alone(algo, schedule):
+    # eight steps (past the decay horizon, into the floor); after the fourth
+    # the middle row leaves and the rule is rebuilt from the two that remain
+    configs = [OptimizerConfig(algo, eta, mu, SCHEDULES[schedule])
+               for eta, mu in [(0.05, 0.9), (0.3, 0.5), (0.01, 0.2)]]
+    rng = np.random.default_rng(9)
+    stack, grads = rng.normal(size=(3, 40)), rng.normal(size=(8, 3, 40))
+    alone = [(row.copy(), OptimizerState.fresh(40)) for row in stack]
+    rows, rule, state = [0, 1, 2], StackedConfig.of(configs), OptimizerState.fresh(stack.shape)
+    for k, grad in enumerate(grads):
+        if k == 4:
+            rows = [0, 2]
+            stack, state.velocity = stack[rows], state.velocity[rows]
+            rule = StackedConfig.of([configs[r] for r in rows])
+        apply_update(stack, grad[rows], rule, state)
+        for r in rows:
+            apply_update(alone[r][0], grad[r], configs[r], alone[r][1])
+        assert [row.tobytes() for row in stack] == [alone[r][0].tobytes() for r in rows]
+        assert [v.tobytes() for v in state.velocity] == [alone[r][1].velocity.tobytes()
+                                                         for r in rows]
+
+
+def test_a_stack_needs_one_algorithm_and_one_schedule():
+    one = OptimizerConfig("momentum", 0.1, 0.9)
+    for other in (OptimizerConfig("nesterov", 0.1, 0.9),
+                  OptimizerConfig("momentum", 0.1, 0.9, SCHEDULES["linear-decay"])):
+        with pytest.raises(ConfigError, match="share the algorithm and the schedule"):
+            StackedConfig.of([one, other])
 
 
 def test_step_updates_model_and_version():

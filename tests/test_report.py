@@ -185,6 +185,13 @@ def test_malformed_table_names_file_and_line(tmp_path, kind, text, where):
         read_table(path, kind)
 
 
+def test_a_table_with_undecodable_bytes_names_file_and_line(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_bytes(SUMMARY_TEXT.encode().replace(b",0,0,2,1\n", b",0,0,2,\xff\n"))
+    with pytest.raises(ResultsFormatError, match="summary.csv:4: not UTF-8 text"):
+        read_table(path, "summary")
+
+
 def test_report_text_of_every_table(tmp_path):
     write_summary(TABLE, tmp_path / "summary.csv")
     write_fits(tmp_path / "fits.csv", FITS)

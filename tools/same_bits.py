@@ -13,7 +13,13 @@ Imports sparselab from `<checkout>/src` and hashes, in a fixed order:
   s = 0 and 0.9, after `prune_at_init`;
 - `analysis.estimate_beta` on the same nets, as float hex;
 - `analysis.trace_smoothness` (its L estimates, losses and beta) for each
-  model at s = 0 and 0.9.
+  model at s = 0 and 0.9;
+- 24 stacked cells (`run_cell`), the same workloads with goal error 0.5 x
+  {sgd, momentum, nesterov} x s in {0, 0.9} x B in {2, 16}, each of four
+  trials at eta in {0.003, 0.05, 0.5, 1e3}: each record, its validation
+  errors and final loss unrounded. Every cell stacks two or more trials,
+  and the cells write complete, stopped, incomplete and infeasible
+  records, some infeasible ones after the cell's first evaluation.
 
 Run it on two checkouts under the same thread settings, for example a
 `git archive` of the parent commit and the working tree, once with
@@ -78,6 +84,27 @@ def grid(digest):
                     digest.update(f"{rec.to_json()} {rec.history!r} {rec.final_loss!r}".encode())
 
 
+def cells(digest):
+    from sparselab.harness import STATUSES, StudyPoint, run_cell, stack_size
+
+    statuses = set()
+    for algorithm in ("sgd", "momentum", "nesterov"):
+        for wl in workloads():
+            wl = replace(wl, algorithm=algorithm, goal_error=0.5)
+            for s in (0.0, 0.9):
+                for b in (2, 16):
+                    if stack_size(wl.model_spec, b) < 2:
+                        sys.exit(f"{wl.id} at B={b} stacks one trial; pick another batch size")
+                    trials = [(i, {**metaparams(algorithm), "eta_bar": eta}, 3 + i)
+                              for i, eta in enumerate((0.003, 0.05, 0.5, 1e3))]
+                    for rec in run_cell(wl, StudyPoint(b, s), trials):
+                        statuses.add(rec.status)
+                        digest.update(f"{rec.to_json()} {rec.history!r} "
+                                      f"{rec.final_loss!r}".encode())
+    if statuses != set(STATUSES):
+        sys.exit(f"the cells wrote only {sorted(statuses)} records")
+
+
 def gradients_and_beta(digest):
     from sparselab import analysis, nn
     from sparselab.harness import prune_at_init, resolve_dataset
@@ -108,7 +135,7 @@ def main(argv):
         sys.exit("usage: python3 tools/same_bits.py <checkout>")
     _import(argv[1])
     total = hashlib.sha256()
-    for part in (grid, gradients_and_beta, traces):
+    for part in (grid, gradients_and_beta, traces, cells):
         digest = hashlib.sha256()
         part(digest)
         print(f"{part.__name__} {digest.hexdigest()}", file=sys.stderr)
