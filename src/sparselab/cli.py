@@ -29,6 +29,8 @@ EXIT_PARTIAL = 3
 EXIT_IO = 4
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -107,21 +109,24 @@ def _trace_metaparams(args, rows, workload, sparsity):
 
 
 def cmd_lipschitz(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {args.stride}")
     if args.steps <= args.stride:
         raise ConfigError(f"--steps ({args.steps}) must exceed --stride "
                           f"({args.stride}): a trace needs more than one step")
     cfg = load_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary_path = out / report.SUMMARY_FILE
     rows = report.read_table(summary_path, "summary") if summary_path.exists() else []
+    plan = [(s, StudyPoint(args.batch_size, s), _trace_metaparams(args, rows, cfg.workload, s))
+            for s in cfg.sparsities]
+    out.mkdir(parents=True, exist_ok=True)
 
     traces, theory_rows = {}, []
-    for s in cfg.sparsities:
-        metaparams = _trace_metaparams(args, rows, cfg.workload, s)
+    for s, point, metaparams in plan:
         try:
             trace = analysis.trace_smoothness(
-                cfg.workload, StudyPoint(args.batch_size, s), metaparams,
+                cfg.workload, point, metaparams,
                 stride=args.stride, num_steps=args.steps, seed=cfg.seed,
                 data_root=cfg.data_root)
             L_avg = trace.average
@@ -181,7 +186,7 @@ def cmd_ratios(args) -> int:
         print(f"s={r['s']:g}: delta x beta x L = {ratios['delta_ratio']:.3g} x "
               f"{ratios['beta_ratio']:.3g} x {ratios['L_ratio']:.3g} = "
               f"{ratios['c1_ratio']:.3g}"
-              + (f" (fitted {fitted:.3g})" if fitted else ""))
+              + (f" (fitted {fitted:.3g})" if fitted is not None else ""))
 
     report.write_table(out / report.RATIOS_FILE, "ratios", ratio_rows)
     print(f"wrote {out / report.RATIOS_FILE}")

@@ -20,10 +20,6 @@ class NumericOverflow(ArithmeticError):
         self.trials = trials
 
 
-class StaleCacheError(RuntimeError):
-    """A backward pass was fed a cache from a different forward pass."""
-
-
 class IdxFormatError(ValueError):
     """Malformed IDX file; message carries the failing byte offset."""
 

@@ -441,7 +441,6 @@ class _Stack:
         keep = [r for r in range(len(self.trials)) if r not in rows]
         self.trials = [self.trials[r] for r in keep]
         self.model.params = self.model.params[keep]
-        self.model.bump_version()
         if self.trials:
             self.config = StackedConfig.of([t.config for t in self.trials])
         self.state.velocity = self.state.velocity[keep]
@@ -539,7 +538,6 @@ def run_cell(workload: Workload, point: StudyPoint, trials: list,
         for st in stacks:
             st.train_step(train.inputs, train.labels)
         if step_hook is not None and stacks[0].trials:
-            hooked.bump_version()
             step_hook(hooked, k)
         if k % workload.eval_interval == 0:
             reached = [t for st in stacks for t, err in st.evaluate(k, val)

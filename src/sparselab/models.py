@@ -65,7 +65,6 @@ class Model:
             self._slices.append(entries)
         self.params = np.zeros(offset)
         self.mask = np.ones(offset)
-        self.params_version = 0
 
     @property
     def param_count(self) -> int:
@@ -76,9 +75,6 @@ class Model:
     def trials(self) -> int:
         """T, the rows of a stack's (T, m) params; 1 for a length-m vector."""
         return self.params.size // self.param_count
-
-    def bump_version(self):
-        self.params_version += 1
 
     def _with_params(self, params: np.ndarray) -> "Model":
         """This model, sharing its layers, slices and mask, over `params`."""
@@ -122,7 +118,6 @@ class Model:
         if values.shape != self.params.shape:
             raise ConfigError("parameter vector length mismatch")
         self.params[...] = values
-        self.bump_version()
 
 
 def _mlp_layers(spec: ModelSpec) -> list:

@@ -18,6 +18,8 @@ non-finite value raises NumericOverflow naming the trials it hit.
 Backward returns the gradient of the *mean* loss over the batch, i.e. an
 unbiased estimate of the full-data gradient under i.i.d. sampling, and
 stops at the first layer with parameters, whose input gradient is unused.
+It reads the masked views and activations of the forward it follows; only
+`batch_gradient` and `sweep` pair the two, one backward after each forward.
 One softmax pass per step or sweep chunk gives the loss, the error and
 backward's starting signal; the evaluation pass is forward plus argmax.
 A sweep gives the loss, the error and the mean gradient over a whole data
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericOverflow, StaleCacheError
+from .exceptions import ConfigError, NumericOverflow
 
 # Samples per forward in a whole-data-set pass; bounds the activation and im2col buffers.
 FULL_GRADIENT_CHUNK = 1024
@@ -256,15 +258,8 @@ class Gradient:
     example_sq_norms: np.ndarray | None = None
 
 
-@dataclass
-class BatchCache:
-    """Activations and masked parameter views of one forward; read once by backward."""
-
-    layer_caches: list
-    param_views: list
-    params_version: int
-    batch_size: int               # per trial
-    consumed: bool = False
+# Activations, masked parameter views and per-trial batch size of one forward.
+BatchCache = namedtuple("BatchCache", "layer_caches param_views batch_size")
 
 
 def _check_finite(a, trials: int, what: str):
@@ -299,7 +294,7 @@ def forward(model, inputs: np.ndarray):
         layer_caches.append(cache)
     trials = model.trials
     _check_finite(x, trials, "activation in forward pass")
-    return x, BatchCache(layer_caches, param_views, model.params_version, len(x) // trials)
+    return x, BatchCache(layer_caches, param_views, len(x) // trials)
 
 
 def _softmax_pass(logits, targets):
@@ -332,20 +327,15 @@ def backward(model, cache: BatchCache, targets: np.ndarray, probs: np.ndarray,
     """Mean gradient of the softmax cross-entropy over the batch, from the
     softmax `probs` of forward's logits, which it overwrites.
 
-    Differentiates at the masked views forward cached (the version check
-    keeps them current) and zeroes the entries at masked positions: pruned
-    coordinates are outside the optimization problem entirely. With
-    example_norms, each parameterized layer also adds its share of every
-    example's masked squared gradient norm, from the same backward signal.
+    Differentiates at the masked views and activations of the forward it
+    follows (in `batch_gradient` or `sweep`) and zeroes the entries at
+    masked positions: pruned coordinates are outside the optimization
+    problem entirely. With example_norms, each parameterized layer also
+    adds its share of every example's masked squared gradient norm, from
+    the same backward signal.
     It stops at the first layer with parameters, after its parameter
     gradients (and norms): nothing reads that layer's input gradient.
     """
-    if cache.params_version != model.params_version:
-        raise StaleCacheError("cache was built for different parameters")
-    if cache.consumed:
-        raise StaleCacheError("cache already consumed by a backward pass")
-    cache.consumed = True
-
     d_out = probs
     d_out[np.arange(len(d_out)), np.asarray(targets).reshape(-1)] -= 1.0
     d_out /= cache.batch_size

@@ -136,6 +136,4 @@ def step(model, grad, config, state: OptimizerState):
     StackedConfig, in place from an nn.Gradient; returns eta_k used."""
     if grad.flat.shape != model.params.shape:
         raise ConfigError("gradient length does not match parameter count")
-    eta = apply_update(model.params, grad.flat, config, state)
-    model.bump_version()
-    return eta
+    return apply_update(model.params, grad.flat, config, state)

@@ -73,7 +73,6 @@ def apply_mask(model, mask: Mask):
             f"mask length {mask.bits.size} != parameter count {model.param_count}")
     model.mask = mask.bits.copy()
     model.params *= model.mask
-    model.bump_version()
     return model
 
 
@@ -101,5 +100,4 @@ def prune_at_init(model, train, sparsity: float, seed: int):
         kept_norm = np.linalg.norm(u, axis=0)
         live = kept_norm > 0.0
         u[:, live] *= dense_norm[live] / kept_norm[live]
-    model.bump_version()
     return model

@@ -272,6 +272,15 @@ def test_a_study_no_trial_could_run_fails_before_out_is_made(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_a_run_with_no_workers_fails_before_out_is_made(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert run_cli("run", "--config", SMOKE, "--out", str(out), "--workers", "0") == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--workers must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_integral_floats_load_as_ints(tmp_path):
     path = edited_smoke(tmp_path, lambda t: (t.update(budget=3.0),
                                              t["study"].update(batch_sizes=[2.0, 8]),
@@ -505,6 +514,39 @@ def test_lipschitz_stride_zero_is_a_config_error(tmp_path, capsys):
     assert "stride must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--batch-size", "0", "batch size must be >= 1, got 0"),
+    ("--stride", "0", "stride must be >= 1, got 0"),
+    ("--eta", "0", "eta_bar must be > 0"),
+])
+def test_lipschitz_bad_argument_fails_before_out_is_made(tmp_path, capsys, flag, value,
+                                                         message):
+    out = tmp_path / "results"
+    args = {"--batch-size": "16", "--stride": "50", "--eta": "0.05", flag: value}
+    assert run_cli("lipschitz", "--config", SMOKE, "--out", str(out), "--steps", "100",
+                   *[a for item in args.items() for a in item]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lipschitz_resolves_every_sparsity_before_tracing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "summary.csv").write_text(
+        "# sparselab-summary v2\n"
+        "B,s,K_star,eta_star,momentum_star,n_complete,n_stopped,n_incomplete,n_infeasible\n"
+        "16,0.0,100,0.05,,3,0,0,0\n")
+    path = edited_smoke(tmp_path, lambda t: t["study"].update(sparsities=[0.0, 0.9]))
+    traced = []
+    monkeypatch.setattr(analysis, "trace_smoothness",
+                        lambda *args, **kwargs: traced.append(args))
+    assert run_cli("lipschitz", "--config", path, "--out", str(out),
+                   "--stride", "50", "--steps", "100") == EXIT_CONFIG
+    assert "summary row for B=16, s=0.9" in capsys.readouterr().err
+    assert traced == []
+    assert not (out / "traces.csv").exists()
+
+
 @pytest.mark.parametrize("steps", ["50", "40"])
 def test_lipschitz_steps_within_one_stride_is_a_config_error(tmp_path, capsys, steps):
     # one stride or less traces a single step, which has no loss decrease
@@ -529,6 +571,20 @@ def test_ratios_compares_with_the_fitted_c1_ratio(tmp_path):
     rows = read_table(tmp_path / "ratios.csv", "ratios")
     assert [(r["s"], r["c1_ratio"], r["c1_ratio_fitted"]) for r in rows] == [
         (0.5, 1.5, 2.5), (0.9, 1.9, None)]
+
+
+def test_ratios_prints_a_fitted_c1_ratio_of_zero(tmp_path, capsys):
+    write_table(tmp_path / THEORY_FILE, "theory",
+                [{"s": s, "L_avg": 2.0, "beta": 1.5, "delta": 1.0 + s, "eta_bar": 0.05,
+                  "batch_size": 8, "steps": 100, "stride": 50} for s in (0.0, 0.9)])
+    # K* rising with B contradicts the law, so the sparse c1 is clamped to 0
+    write_fits(tmp_path / FITS_FILE,
+               {0.0: analysis.ScalingFit(1000.0, 50.0, 0.0, ((2, 550), (8, 175))),
+                0.9: analysis.fit_scaling([(2, 100), (4, 120), (8, 140), (16, 160)])})
+    assert run_cli("ratios", "--out", str(tmp_path)) == EXIT_OK
+    assert "(fitted 0)" in capsys.readouterr().out
+    [row] = read_table(tmp_path / "ratios.csv", "ratios")
+    assert row["c1_ratio_fitted"] == 0.0
 
 
 def test_ratios_with_a_zero_dense_constant_is_partial(tmp_path, capsys):

@@ -13,7 +13,7 @@ from helpers import (conv_forward_by_pixel_bias, conv_input_gradient_by_patches,
                      global_mean_pool_by_mean, global_mean_pool_gradient_by_broadcast,
                      max_relative_error)
 from sparselab import nn
-from sparselab.exceptions import ConfigError, NumericOverflow, StaleCacheError
+from sparselab.exceptions import ConfigError, NumericOverflow
 from sparselab.models import ModelSpec, build_model
 from sparselab.prune import Mask, apply_mask
 
@@ -295,7 +295,6 @@ def test_forward_invariant_to_values_at_masked_positions():
     assert np.array_equal(clean, dirty)
     # backward differentiates at the masked views forward cached, so the
     # garbage must not reach the gradient either
-    model.bump_version()
     loss, err, grad = nn.batch_gradient(model, x, y)
     assert loss == clean_loss and err == clean_err
     assert grad.flat.tobytes() == clean_grad.flat.tobytes()
@@ -550,29 +549,6 @@ def test_relu_in_place_equals_maximum_and_masks_by_its_output():
     assert out.tobytes() == np.maximum(x, 0.0).tobytes()
     d_x, _ = relu.backward(d.copy(), cache, [])
     assert d_x.tobytes() == (d * (x > 0)).tobytes()
-
-
-def test_stale_cache_rejected_after_parameter_change():
-    model = linear_model(3, 2)
-    x = np.ones((2, 3))
-    y = np.array([0, 1])
-    logits, cache = nn.forward(model, x)
-    probs = nn._softmax_pass(logits, y)[2]
-    model.params[0] += 0.1
-    model.bump_version()
-    with pytest.raises(StaleCacheError):
-        nn.backward(model, cache, y, probs)
-
-
-def test_cache_consumed_once():
-    model = linear_model(3, 2)
-    x = np.ones((2, 3))
-    y = np.array([0, 1])
-    logits, cache = nn.forward(model, x)
-    probs = nn._softmax_pass(logits, y)[2]
-    nn.backward(model, cache, y, probs)
-    with pytest.raises(StaleCacheError):
-        nn.backward(model, cache, y, probs)
 
 
 def test_shape_mismatch_is_config_error():
